@@ -34,7 +34,9 @@ from .equilibrium import (
     NashSolution,
     NashVerification,
     RegimeLabel,
+    SaddleReport,
     classify_regimes,
+    saddle_probe,
     solve_nash,
     verify_nash,
 )
@@ -43,10 +45,8 @@ from .oracle import (
     DynamicsTrace,
     GridMinimaxResult,
     GridSpec,
-    SaddleReport,
     grid_minimax,
     run_dynamics,
-    saddle_probe,
 )
 from .waterfill import EPS_SOLVE, LevelCheck, WaterSolution, level_for_fills, water_fill
 

@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
@@ -26,13 +26,12 @@ from .core import (
     utility_batch,
     validate_allocation,
 )
-from .equilibrium import NashSolution, RegimeLabel, solve_nash, verify_nash
+from .equilibrium import NashSolution, solve_nash, verify_nash
 from .oracle import EPS_DYN, GridSpec, grid_minimax, run_dynamics
-from .waterfill import level_for_fills
+from .waterfill import EPS_SOLVE, level_for_fills
 
 __all__ = [
     "ConfigError",
-    "ConfigFile",
     "cmd_best_response",
     "cmd_dynamics",
     "cmd_nash",
@@ -41,7 +40,6 @@ __all__ = [
     "load_config",
     "main",
     "run",
-    "solution_from_record",
 ]
 
 
@@ -51,41 +49,6 @@ class ConfigError(ValueError):
 
 _REQUIRED_FIELDS = ("alpha_t", "alpha_j", "t_budget", "j_budget", "channels")
 _KNOWN_FIELDS = _REQUIRED_FIELDS + ("noise_unit",)
-
-
-@dataclass(frozen=True)
-class ConfigFile:
-    """A validated game configuration, noise already in linear units."""
-
-    alpha_t: float
-    alpha_j: float
-    t_budget: float
-    j_budget: float
-    channels: tuple[float, ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.channels)
-
-    def to_params(self) -> GameParams:
-        return GameParams(
-            channels=ChannelSet(
-                noise=np.array(self.channels),
-                alpha_t=self.alpha_t,
-                alpha_j=self.alpha_j,
-            ),
-            t_budget=self.t_budget,
-            j_budget=self.j_budget,
-        )
-
-    def echo(self) -> dict:
-        return {
-            "alpha_t": _f12(self.alpha_t),
-            "alpha_j": _f12(self.alpha_j),
-            "t_budget": _f12(self.t_budget),
-            "j_budget": _f12(self.j_budget),
-            "channels": [_f12(n) for n in self.channels],
-        }
 
 
 def _require_number(raw: dict, name: str) -> float:
@@ -98,7 +61,7 @@ def _require_number(raw: dict, name: str) -> float:
     return value
 
 
-def load_config(path: str) -> ConfigFile:
+def load_config(path: str) -> GameParams:
     """Read and validate a flat JSON config; dB noise converts here, once."""
     try:
         with open(path, encoding="utf-8") as fh:
@@ -144,7 +107,13 @@ def load_config(path: str) -> ConfigFile:
             raise ConfigError(f"channels[{k}] must be positive")
         noise.append(value)
 
-    return ConfigFile(channels=tuple(noise), **scalars)
+    return GameParams(
+        channels=ChannelSet(
+            noise=np.array(noise), alpha_t=scalars["alpha_t"], alpha_j=scalars["alpha_j"]
+        ),
+        t_budget=scalars["t_budget"],
+        j_budget=scalars["j_budget"],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +125,16 @@ def _s12(x: float) -> str:
 
 def _f12(x: float) -> float:
     return float(_s12(x))
+
+
+def _echo(params: GameParams) -> dict:
+    return {
+        "alpha_t": _f12(params.alpha_t),
+        "alpha_j": _f12(params.alpha_j),
+        "t_budget": _f12(params.t_budget),
+        "j_budget": _f12(params.j_budget),
+        "channels": [_f12(n) for n in params.noise],
+    }
 
 
 def _dump_json(record: dict) -> str:
@@ -179,32 +158,45 @@ def _emit(text: str, out_path: str | None) -> None:
 _CSV_SCALARS = ("varied", "value", "v", "w", "u")
 
 
-def _csv_header(m: int) -> str:
+def _nash_row(varied: float | None, sol: NashSolution) -> dict:
+    """One solved game, rounded: a sweep JSON row, and the source of CSV cells."""
+    return {
+        "varied": varied,
+        "value": _f12(sol.value),
+        "v": _f12(sol.v),
+        "w": _f12(sol.w),
+        "u": _f12(sol.u),
+        "tx_powers": [_f12(p) for p in sol.tx.powers],
+        "jam_powers": [_f12(p) for p in sol.jam.powers],
+        "regimes": [label.value for label in sol.regimes],
+    }
+
+
+def _row_cells(row: dict) -> list[str]:
+    cells = ["" if row["varied"] is None else _s12(row["varied"])]
+    cells += [_s12(row[key]) for key in _CSV_SCALARS[1:]]
+    cells += [_s12(p) for p in row["tx_powers"] + row["jam_powers"]]
+    return cells + row["regimes"]
+
+
+def _csv(rows: list[dict]) -> str:
+    m = len(rows[0]["regimes"])
     cols = list(_CSV_SCALARS)
-    cols += [f"T_{k}" for k in range(1, m + 1)]
-    cols += [f"J_{k}" for k in range(1, m + 1)]
-    cols += [f"regime_{k}" for k in range(1, m + 1)]
-    return ",".join(cols)
-
-
-def _csv_row(varied: str, sol: NashSolution) -> str:
-    cells = [varied, _s12(sol.value), _s12(sol.v), _s12(sol.w), _s12(sol.u)]
-    cells += [_s12(p) for p in sol.tx.powers]
-    cells += [_s12(p) for p in sol.jam.powers]
-    cells += [label.value for label in sol.regimes]
-    return ",".join(cells)
+    cols += [f"{name}_{k}" for name in ("T", "J", "regime") for k in range(1, m + 1)]
+    lines = [",".join(cols)] + [",".join(_row_cells(row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # nash
 
-def _solution_record(cfg: ConfigFile, sol: NashSolution) -> dict:
+def _solution_record(params: GameParams, sol: NashSolution) -> dict:
     channels = []
-    for k in range(cfg.m):
+    for k in range(params.m):
         channels.append(
             {
                 "k": k + 1,
-                "noise": _f12(cfg.channels[k]),
+                "noise": _f12(params.noise[k]),
                 "tx_power": _f12(sol.tx.powers[k]),
                 "jam_power": _f12(sol.jam.powers[k]),
                 "regime": sol.regimes[k].value,
@@ -239,62 +231,20 @@ def _verification_record(params: GameParams, sol: NashSolution) -> dict:
     }
 
 
-def solution_from_record(record: dict) -> tuple[GameParams, NashSolution]:
-    """Rebuild (GameParams, NashSolution) from a cmd_nash JSON record.
-
-    The inverse of the nash record writer, used to round-trip CLI output back
-    through verify_nash.
-    """
-    cfg = record["config"]
-    params = GameParams(
-        channels=ChannelSet(
-            noise=np.array(cfg["channels"], dtype=float),
-            alpha_t=cfg["alpha_t"],
-            alpha_j=cfg["alpha_j"],
-        ),
-        t_budget=cfg["t_budget"],
-        j_budget=cfg["j_budget"],
-    )
-    sol_rec = record["solution"]
-    rows = sol_rec["channels"]
-    tx = Allocation(
-        powers=np.array([row["tx_power"] for row in rows]), budget=params.t_budget
-    )
-    jam = Allocation(
-        powers=np.array([row["jam_power"] for row in rows]), budget=params.j_budget
-    )
-    regimes = tuple(RegimeLabel(row["regime"]) for row in rows)
-    sol = NashSolution(
-        tx=tx,
-        jam=jam,
-        v=float(sol_rec["v"]),
-        w=float(sol_rec["w"]),
-        u=float(sol_rec["u"]),
-        regimes=regimes,
-        value=float(sol_rec["value"]),
-    )
-    return params, sol
-
-
-def _render_nash(record: dict, fmt: str, m: int) -> str:
+def _render_nash(record: dict, fmt: str, sol: NashSolution) -> str:
     if fmt == "json":
         return _dump_json(record)
-    sol = record["solution"]
     if fmt == "csv":
-        header = _csv_header(m)
-        cells = ["", _s12(sol["value"]), _s12(sol["v"]), _s12(sol["w"]), _s12(sol["u"])]
-        cells += [_s12(row["tx_power"]) for row in sol["channels"]]
-        cells += [_s12(row["jam_power"]) for row in sol["channels"]]
-        cells += [row["regime"] for row in sol["channels"]]
-        return header + "\n" + ",".join(cells) + "\n"
+        return _csv([_nash_row(None, sol)])
+    solution = record["solution"]
     lines = [
-        f"v = {_s12(sol['v'])}",
-        f"w = {_s12(sol['w'])}",
-        f"u = {_s12(sol['u'])}",
-        f"value = {_s12(sol['value'])}",
+        f"v = {_s12(solution['v'])}",
+        f"w = {_s12(solution['w'])}",
+        f"u = {_s12(solution['u'])}",
+        f"value = {_s12(solution['value'])}",
     ]
     rows = [["k", "noise", "tx_power", "jam_power", "regime"]]
-    for row in sol["channels"]:
+    for row in solution["channels"]:
         rows.append(
             [
                 str(row["k"]),
@@ -312,16 +262,19 @@ def _render_nash(record: dict, fmt: str, m: int) -> str:
 
 
 def cmd_nash(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    params = cfg.to_params()
+    params = load_config(args.config)
     sol = solve_nash(params)
-    record = {"command": "nash", "config": cfg.echo(), "solution": _solution_record(cfg, sol)}
+    record = {
+        "command": "nash",
+        "config": _echo(params),
+        "solution": _solution_record(params, sol),
+    }
     code = 0
     if args.verify:
         record["verification"] = _verification_record(params, sol)
         if not record["verification"]["ok"]:
             code = 3
-    _emit(_render_nash(record, args.format, cfg.m), args.out)
+    _emit(_render_nash(record, args.format, sol), args.out)
     return code
 
 
@@ -345,13 +298,12 @@ def _parse_fixed(
 
 
 def cmd_best_response(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    params = cfg.to_params()
-    record: dict = {"command": "best-response", "config": cfg.echo(), "player": args.player}
+    params = load_config(args.config)
+    record: dict = {"command": "best-response", "config": _echo(params), "player": args.player}
     verified_ok = True
 
     if args.player == "tx":
-        jam = _parse_fixed(args.fixed, cfg.m, cfg.j_budget, "jammer")
+        jam = _parse_fixed(args.fixed, params.m, params.j_budget, "jammer")
         record["fixed_jam"] = [_f12(p) for p in jam.powers]
         tx, level = tx_best_response(params, jam)
         check = level_for_fills(
@@ -365,7 +317,9 @@ def cmd_best_response(args: argparse.Namespace) -> int:
         }
         verified_ok = check.consistent
     else:
-        tx = _parse_fixed(args.fixed, cfg.m, cfg.t_budget, "transmitter", allow_all_zero=True)
+        tx = _parse_fixed(
+            args.fixed, params.m, params.t_budget, "transmitter", allow_all_zero=True
+        )
         record["fixed_tx"] = [_f12(p) for p in tx.powers]
         jam, state = jam_best_response(params, tx)
         report = kkt_report(params, tx, jam, state)
@@ -429,20 +383,19 @@ def _render_best_response(record: dict, fmt: str) -> str:
 # oracle
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    if cfg.m > 4:
+    params = load_config(args.config)
+    if params.m > 4:
         raise ConfigError(
-            f"oracle supports at most 4 channels (config has {cfg.m}); "
+            f"oracle supports at most 4 channels (config has {params.m}); "
             "the grid grows combinatorially beyond that"
         )
-    params = cfg.to_params()
-    spec = GridSpec(resolution=args.resolution, m=cfg.m)
+    spec = GridSpec(resolution=args.resolution, m=params.m)
     result = grid_minimax(params, spec)
     sol = solve_nash(params)
     gap = result.value - sol.value
     record = {
         "command": "oracle",
-        "config": cfg.echo(),
+        "config": _echo(params),
         "resolution": args.resolution,
         "n_points": result.n_points,
         "grid_value": _f12(result.value),
@@ -453,7 +406,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         "gap_bound": _f12(result.gap_bound),
         "grid_jam": [_f12(p) for p in result.jam],
     }
-    ok = 0.0 <= gap <= result.gap_bound
+    # the grid value bounds the game value from above; allow rounding below
+    ok = -EPS_SOLVE * max(1.0, sol.value) <= gap <= result.gap_bound
     record["within_bound"] = ok
     code = 3 if args.verify and not ok else 0
     _emit(_render_oracle(record, args.format), args.out)
@@ -480,12 +434,11 @@ def _render_oracle(record: dict, fmt: str) -> str:
 # dynamics
 
 def cmd_dynamics(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    params = cfg.to_params()
+    params = load_config(args.config)
     rng = np.random.default_rng(args.seed)
     start = (
-        sample_simplex(rng, 1, cfg.m, cfg.t_budget)[0],
-        sample_simplex(rng, 1, cfg.m, cfg.j_budget)[0],
+        sample_simplex(rng, 1, params.m, params.t_budget)[0],
+        sample_simplex(rng, 1, params.m, params.j_budget)[0],
     )
     trace = run_dynamics(
         params,
@@ -497,7 +450,7 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
     final_tx, final_jam, final_value = trace.iterates[-1]
     record = {
         "command": "dynamics",
-        "config": cfg.echo(),
+        "config": _echo(params),
         "gamma": _f12(args.gamma),
         "seed": args.seed,
         "max_iters": args.max_iters,
@@ -536,19 +489,12 @@ def _render_dynamics(record: dict, fmt: str) -> str:
 # ---------------------------------------------------------------------------
 # sweep
 
-def _sweep_config(cfg: ConfigFile, key: str, value: float) -> ConfigFile:
-    if key == "t_budget":
-        return ConfigFile(cfg.alpha_t, cfg.alpha_j, value, cfg.j_budget, cfg.channels)
-    if key == "j_budget":
-        return ConfigFile(cfg.alpha_t, cfg.alpha_j, cfg.t_budget, value, cfg.channels)
+def _sweep_params(params: GameParams, key: str, value: float) -> GameParams:
     if key.startswith("noise:"):
-        index = int(key.split(":", 1)[1]) - 1
-        channels = list(cfg.channels)
-        channels[index] = value
-        return ConfigFile(
-            cfg.alpha_t, cfg.alpha_j, cfg.t_budget, cfg.j_budget, tuple(channels)
-        )
-    raise AssertionError(f"unchecked vary key {key!r}")
+        noise = params.noise.copy()
+        noise[int(key.split(":", 1)[1]) - 1] = value
+        return replace(params, channels=replace(params.channels, noise=noise))
+    return replace(params, **{key: value})
 
 
 def _check_vary_key(key: str, m: int) -> None:
@@ -565,8 +511,8 @@ def _check_vary_key(key: str, m: int) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    _check_vary_key(args.vary, cfg.m)
+    base = load_config(args.config)
+    _check_vary_key(args.vary, base.m)
     if not args.from_ < args.to:
         raise ConfigError("--from must be less than --to")
     if args.steps < 2:
@@ -574,45 +520,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.from_ <= 0.0:
         raise ConfigError(f"--from must be positive when varying {args.vary}")
 
-    values = np.linspace(args.from_, args.to, args.steps)
     rows = []
-    json_rows = []
     all_ok = True
-    for value in values:
-        step_cfg = _sweep_config(cfg, args.vary, float(value))
-        params = step_cfg.to_params()
+    for value in np.linspace(args.from_, args.to, args.steps):
+        params = _sweep_params(base, args.vary, float(value))
         sol = solve_nash(params)
         if args.verify:
             all_ok = all_ok and verify_nash(params, sol).ok
-        rows.append(_csv_row(_s12(value), sol))
-        json_rows.append(
-            {
-                "varied": _f12(value),
-                "value": _f12(sol.value),
-                "v": _f12(sol.v),
-                "w": _f12(sol.w),
-                "u": _f12(sol.u),
-                "tx_powers": [_f12(p) for p in sol.tx.powers],
-                "jam_powers": [_f12(p) for p in sol.jam.powers],
-                "regimes": [label.value for label in sol.regimes],
-            }
-        )
+        rows.append(_nash_row(_f12(value), sol))
 
     if args.format == "json":
-        record = {
-            "command": "sweep",
-            "config": cfg.echo(),
-            "vary": args.vary,
-            "rows": json_rows,
-        }
+        record = {"command": "sweep", "config": _echo(base), "vary": args.vary, "rows": rows}
         text = _dump_json(record)
     elif args.format == "table":
-        table_rows = [list(_CSV_SCALARS)]
-        for row in rows:
-            table_rows.append(row.split(",")[: len(_CSV_SCALARS)])
-        text = _table(table_rows)
+        width = len(_CSV_SCALARS)
+        text = _table([list(_CSV_SCALARS)] + [_row_cells(row)[:width] for row in rows])
     else:
-        text = _csv_header(cfg.m) + "\n" + "\n".join(rows) + "\n"
+        text = _csv(rows)
     _emit(text, args.out)
     return 3 if args.verify and not all_ok else 0
 

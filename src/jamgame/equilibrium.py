@@ -11,13 +11,16 @@ recovered exactly from the pair of levels:
 Each channel falls into one of three regimes by comparing its noise power to
 the two levels: noise at or above v is unused by both players, noise strictly
 between w and v carries transmitter power but no jamming, and noise at or
-below w is contested, with alpha_t*T_k + alpha_j*J_k + N_k = v exactly.
+below w is contested.  Every powered channel reaches the transmitter level:
+alpha_t*T_k + alpha_j*J_k + N_k = v, with J_k = 0 on TxOnly channels.
+
+saddle_probe, which verify_nash runs, checks a candidate saddle against
+random unilateral deviations.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +49,9 @@ __all__ = [
     "NashSolution",
     "NashVerification",
     "RegimeLabel",
+    "SaddleReport",
     "classify_regimes",
+    "saddle_probe",
     "solve_nash",
     "verify_nash",
 ]
@@ -77,7 +82,8 @@ class NashSolution:
     value: float
 
 
-def _classify(noise: np.ndarray, v: float, w: float) -> tuple[RegimeLabel, ...]:
+def classify_regimes(noise: np.ndarray, v: float, w: float) -> tuple[RegimeLabel, ...]:
+    """Label every channel from its noise and the two water levels v > w."""
     labels = []
     for n in noise:
         if n >= v:
@@ -87,21 +93,6 @@ def _classify(noise: np.ndarray, v: float, w: float) -> tuple[RegimeLabel, ...]:
         else:
             labels.append(RegimeLabel.CONTESTED)
     return tuple(labels)
-
-
-def classify_regimes(params: GameParams, v: float, u: float) -> tuple[RegimeLabel, ...]:
-    """Label every channel from the transmitter level and the multiplier.
-
-    The jammer level is implied: w = v*alpha_j / (alpha_j + 2*u*v).
-    """
-    v = float(v)
-    u = float(u)
-    if not math.isfinite(v) or v <= 0.0:
-        raise ValueError("level v must be finite and positive")
-    if not math.isfinite(u) or u <= 0.0:
-        raise ValueError("multiplier u must be finite and positive")
-    w = v * params.alpha_j / (params.alpha_j + 2.0 * u * v)
-    return _classify(params.noise, v, w)
 
 
 def solve_nash(params: GameParams) -> NashSolution:
@@ -130,8 +121,71 @@ def solve_nash(params: GameParams) -> NashSolution:
         v=v,
         w=w,
         u=u,
-        regimes=_classify(noise, v, w),
+        regimes=classify_regimes(noise, v, w),
         value=utility(params, tx, jam),
+    )
+
+
+@dataclass(frozen=True)
+class SaddleReport:
+    """Tally of random unilateral deviations against a candidate saddle.
+
+    ``tx_excess`` / ``jam_shortfall`` are the largest payoff improvements any
+    deviation achieved (positive means the saddle property was beaten);
+    the violation counts use ``tol`` as the pass line.
+    """
+
+    trials: int
+    seed: int
+    tol: float
+    tx_excess: float
+    jam_shortfall: float
+    tx_violations: int
+    jam_violations: int
+    ok: bool
+
+
+def saddle_probe(
+    params: GameParams,
+    tx: Allocation,
+    jam: Allocation,
+    trials: int = 10_000,
+    seed: int = 0,
+    tol: float = EPS_OPT,
+) -> SaddleReport:
+    """Test the saddle inequalities against random unilateral deviations.
+
+    No transmitter deviation should raise the payoff above the candidate
+    value, and no jammer deviation should push it below.  Draws ``trials``
+    transmitter deviations and then ``trials`` jammer deviations from the
+    uniform simplex distribution (one shared generator, fixed draw order, so
+    a seed pins the entire report bit for bit) and records the worst
+    violation on each side.  Zero trials is vacuous; a negative count raises
+    ValueError.
+    """
+    if trials < 0:
+        raise ValueError("trials must be nonnegative")
+    if trials == 0:
+        return SaddleReport(0, seed, tol, 0.0, 0.0, 0, 0, True)
+    value = utility(params, tx, jam)
+    rng = np.random.default_rng(seed)
+    tx_devs = sample_simplex(rng, trials, params.m, params.t_budget)
+    jam_devs = sample_simplex(rng, trials, params.m, params.j_budget)
+    tx_vals = utility_batch(params, tx_devs, jam.powers)
+    jam_vals = utility_batch(params, tx.powers, jam_devs)
+    tx_excess = float(tx_vals.max() - value)
+    jam_shortfall = float(value - jam_vals.min())
+    tx_violations = int(np.count_nonzero(tx_vals > value + tol))
+    jam_violations = int(np.count_nonzero(jam_vals < value - tol))
+    return SaddleReport(
+        trials=trials,
+        seed=seed,
+        tol=tol,
+        tx_excess=tx_excess,
+        jam_shortfall=jam_shortfall,
+        tx_violations=tx_violations,
+        jam_violations=jam_violations,
+        ok=tx_violations == 0 and jam_violations == 0,
     )
 
 
@@ -174,10 +228,13 @@ def verify_nash(
 
     Checks are: (1) both allocations feasible; (2) best-response gaps for the
     two players within eps_opt; (3) ``deviations`` random simplex deviations
-    per player never improve on the candidate beyond eps_opt; (4) jammer KKT
-    residuals within eps_kkt; (5) regime labels match the stored levels and
-    the allocations respect them; (6) the stored (v, w, u) reproduce each
-    other through the closed-form relation.
+    per player (saddle_probe) never improve on the candidate beyond eps_opt;
+    (4) jammer KKT residuals within eps_kkt; (5) regime labels match the
+    stored levels, Unused channels carry no power, TxOnly channels are not
+    jammed, and every powered channel reaches height v within eps_opt;
+    (6) the stored (v, w, u) reproduce each other through the closed-form
+    relation.  Zero deviations skip check (3); a negative count raises
+    ValueError.
     """
     require_feasible(sol.tx, params.t_budget, params.m, "tx")
     require_feasible(sol.jam, params.j_budget, params.m, "jam")
@@ -190,17 +247,7 @@ def verify_nash(
     jam_star, _ = jam_best_response(params, sol.tx)
     jam_gap = value - utility(params, sol.tx, jam_star)
 
-    if deviations > 0:
-        rng = np.random.default_rng(seed)
-        tx_devs = sample_simplex(rng, deviations, params.m, params.t_budget)
-        jam_devs = sample_simplex(rng, deviations, params.m, params.j_budget)
-        tx_vals = utility_batch(params, tx_devs, sol.jam.powers)
-        jam_vals = utility_batch(params, sol.tx.powers, jam_devs)
-        tx_excess = float(tx_vals.max() - value)
-        jam_shortfall = float(value - jam_vals.min())
-    else:
-        tx_excess = 0.0
-        jam_shortfall = 0.0
+    probe = saddle_probe(params, sol.tx, sol.jam, trials=deviations, seed=seed, tol=eps_opt)
 
     state = JammerKktState(
         u=sol.u,
@@ -209,7 +256,7 @@ def verify_nash(
     kkt = kkt_report(params, sol.tx, sol.jam, state)
 
     regime_failures: list[str] = []
-    expected = _classify(params.noise, sol.v, sol.w)
+    expected = classify_regimes(params.noise, sol.v, sol.w)
     zero_tx = 1e-9 * params.t_budget
     zero_jam = 1e-9 * params.j_budget
     for k, label in enumerate(sol.regimes):
@@ -223,17 +270,13 @@ def verify_nash(
         if label is RegimeLabel.UNUSED:
             if t_k > zero_tx or j_k > zero_jam:
                 regime_failures.append(f"channel {k}: Unused but carries power")
-        elif label is RegimeLabel.TX_ONLY:
-            if t_k <= zero_tx:
-                regime_failures.append(f"channel {k}: TxOnly but transmitter silent")
-            if j_k > zero_jam:
-                regime_failures.append(f"channel {k}: TxOnly but jammed")
-        else:
-            height = params.alpha_t * t_k + params.alpha_j * j_k + params.noise[k]
-            if abs(height - sol.v) > eps_opt * max(1.0, sol.v):
-                regime_failures.append(
-                    f"channel {k}: contested height {height:.12g} misses v"
-                )
+            continue
+        if label is RegimeLabel.TX_ONLY and j_k > zero_jam:
+            regime_failures.append(f"channel {k}: TxOnly but jammed")
+        height = params.alpha_t * t_k + params.alpha_j * j_k + params.noise[k]
+        if abs(height - sol.v) > eps_opt * max(1.0, sol.v):
+            name = "contested" if label is RegimeLabel.CONTESTED else label.value
+            regime_failures.append(f"channel {k}: {name} height {height:.12g} misses v")
 
     w_back = sol.v * params.alpha_j / (params.alpha_j + 2.0 * sol.u * sol.v)
     level_gap = abs(w_back - sol.w)
@@ -243,8 +286,8 @@ def verify_nash(
     ok = (
         tx_gap <= eps_opt
         and jam_gap <= eps_opt
-        and tx_excess <= eps_opt
-        and jam_shortfall <= eps_opt
+        and probe.tx_excess <= eps_opt
+        and probe.jam_shortfall <= eps_opt
         and kkt.ok(eps_kkt)
         and not regime_failures
         and level_gap <= eps_opt * max(1.0, sol.w)
@@ -253,8 +296,8 @@ def verify_nash(
     return NashVerification(
         tx_gap=float(tx_gap),
         jam_gap=float(jam_gap),
-        tx_excess=tx_excess,
-        jam_shortfall=jam_shortfall,
+        tx_excess=probe.tx_excess,
+        jam_shortfall=probe.jam_shortfall,
         kkt=kkt,
         regime_failures=tuple(regime_failures),
         level_gap=float(level_gap),

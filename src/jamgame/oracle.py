@@ -1,12 +1,11 @@
 """Independent checks on the closed-form equilibrium.
 
-Three routes that do not share code with the solver:
+Two routes that do not share code with the solver:
 
 * grid_minimax discretizes the jammer simplex and, at every grid point,
   answers with the transmitter's exact best response.  Minimizing the inner
   maximum over the grid gives an upper bound on the game value that must sit
   within a provable Lipschitz margin of the closed-form value.
-* saddle_probe hammers a candidate saddle with random unilateral deviations.
 * run_dynamics iterates damped best responses and watches them contract onto
   the equilibrium.
 """
@@ -20,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from .best_response import jam_best_response, tx_best_response
-from .core import Allocation, GameParams, sample_simplex, utility, utility_batch
+from .core import Allocation, GameParams, utility
 from .equilibrium import solve_nash
 
 __all__ = [
@@ -28,10 +27,8 @@ __all__ = [
     "DynamicsTrace",
     "GridMinimaxResult",
     "GridSpec",
-    "SaddleReport",
     "grid_minimax",
     "run_dynamics",
-    "saddle_probe",
 ]
 
 #: Convergence tolerance for best-response dynamics distance to equilibrium.
@@ -146,68 +143,6 @@ def grid_minimax(params: GameParams, spec: GridSpec) -> GridMinimaxResult:
         lipschitz_bound=lipschitz,
         gap_bound=spacing * lipschitz,
         n_points=n_points,
-    )
-
-
-@dataclass(frozen=True)
-class SaddleReport:
-    """Tally of random unilateral deviations against a candidate saddle.
-
-    ``tx_excess`` / ``jam_shortfall`` are the largest payoff improvements any
-    deviation achieved (positive means the saddle property was beaten);
-    the violation counts use ``tol`` as the pass line.
-    """
-
-    trials: int
-    seed: int
-    tol: float
-    tx_excess: float
-    jam_shortfall: float
-    tx_violations: int
-    jam_violations: int
-    ok: bool
-
-
-def saddle_probe(
-    params: GameParams,
-    tx: Allocation,
-    jam: Allocation,
-    trials: int = 10_000,
-    seed: int = 0,
-    tol: float = EPS_DYN,
-) -> SaddleReport:
-    """Test the saddle inequalities against random unilateral deviations.
-
-    No transmitter deviation should raise the payoff above the candidate
-    value, and no jammer deviation should push it below.  Draws ``trials``
-    transmitter deviations and then ``trials`` jammer deviations from the
-    uniform simplex distribution (one shared generator, fixed draw order, so
-    a seed pins the entire report bit for bit) and records the worst
-    violation on each side.
-    """
-    if trials < 0:
-        raise ValueError("trials must be nonnegative")
-    if trials == 0:
-        return SaddleReport(0, seed, tol, 0.0, 0.0, 0, 0, True)
-    value = utility(params, tx, jam)
-    rng = np.random.default_rng(seed)
-    tx_devs = sample_simplex(rng, trials, params.m, params.t_budget)
-    jam_devs = sample_simplex(rng, trials, params.m, params.j_budget)
-    tx_vals = utility_batch(params, tx_devs, jam.powers)
-    jam_vals = utility_batch(params, tx.powers, jam_devs)
-    tx_excess = float(tx_vals.max() - value)
-    jam_shortfall = float(value - jam_vals.min())
-    tx_violations = int(np.count_nonzero(tx_vals > value + tol))
-    jam_violations = int(np.count_nonzero(jam_vals < value - tol))
-    return SaddleReport(
-        trials=trials,
-        seed=seed,
-        tol=tol,
-        tx_excess=tx_excess,
-        jam_shortfall=jam_shortfall,
-        tx_violations=tx_violations,
-        jam_violations=jam_violations,
-        ok=tx_violations == 0 and jam_violations == 0,
     )
 
 

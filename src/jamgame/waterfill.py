@@ -4,8 +4,7 @@ Solves max sum_k ln(floors[k] + x_k) subject to x >= 0, sum x = budget.  The
 optimizer pours power above a common water level v: x_k = max(v - floors[k], 0)
 with v chosen so the fills exhaust the budget.  The level is found in closed
 form by scanning breakpoints of the piecewise-linear map v -> sum (v - f)+,
-which avoids iteration entirely; a bisection solver is kept alongside as an
-independent cross-check for the test suite.
+which avoids iteration entirely.
 """
 
 from __future__ import annotations
@@ -102,26 +101,6 @@ def water_fill(floors, budget: float) -> WaterSolution:
     fills = np.maximum(level - f, 0.0)
     active = tuple(int(k) for k in np.nonzero(fills > 0.0)[0])
     return WaterSolution(level=level, fills=fills, active=active)
-
-
-def _bisect_level(floors, budget: float, max_iter: int = 200) -> float:
-    """Bisection solver for the water level; cross-checks the closed form."""
-    f = _check_floors(floors)
-    budget = float(budget)
-    if budget <= 0.0:
-        return float(f.min())
-    lo = float(f.min())
-    hi = float(f.max()) + budget
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        spill = float(np.maximum(mid - f, 0.0).sum())
-        if spill > budget:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= EPS_SOLVE * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)

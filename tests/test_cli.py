@@ -8,12 +8,41 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jamgame import BUDGET_RTOL, solve_nash, utility, verify_nash
-from jamgame.cli import ConfigError, load_config, main, solution_from_record
+from jamgame import (
+    BUDGET_RTOL,
+    Allocation,
+    ChannelSet,
+    GameParams,
+    NashSolution,
+    RegimeLabel,
+    solve_nash,
+    utility,
+    verify_nash,
+)
+from jamgame.cli import ConfigError, load_config, main
 
 from conftest import make_params
 
 GOLDEN = Path(__file__).parent / "golden"
+
+_SWEEP_J = ("--vary", "j_budget", "--from", "0.5", "--to", "2.5", "--steps", "5")
+
+#: Golden file -> CLI arguments after the command, run on the default
+#: two-channel config of ``write_config``.  nash_m2.json and sweep_m2.csv
+#: have their own tests below.
+GOLDEN_CASES = {
+    "nash_m2_table.txt": ("nash", "--verify", "--format", "table"),
+    "nash_m2.csv": ("nash", "--verify", "--format", "csv"),
+    "sweep_m2.json": ("sweep", *_SWEEP_J, "--format", "json"),
+    "sweep_m2_table.txt": ("sweep", *_SWEEP_J, "--format", "table"),
+    "sweep_m2_noise2.csv": (
+        "sweep", "--vary", "noise:2", "--from", "0.5", "--to", "4", "--steps", "8",
+    ),
+    "best_response_m2_tx.json": ("best-response", "--player", "tx", "--fixed", "1,0"),
+    "best_response_m2_jam.json": ("best-response", "--player", "jam", "--fixed", "2,0"),
+    "oracle_m2.json": ("oracle", "--resolution", "21"),
+    "dynamics_m2.json": ("dynamics", "--seed", "3", "--max-iters", "40"),
+}
 
 
 def write_config(tmp_path, name="game.json", **overrides):
@@ -30,6 +59,32 @@ def write_config(tmp_path, name="game.json", **overrides):
     return str(path)
 
 
+def solution_from_record(record: dict) -> tuple[GameParams, NashSolution]:
+    """Rebuild (GameParams, NashSolution) from a nash JSON record."""
+    cfg = record["config"]
+    params = GameParams(
+        channels=ChannelSet(
+            noise=np.array(cfg["channels"], dtype=float),
+            alpha_t=cfg["alpha_t"],
+            alpha_j=cfg["alpha_j"],
+        ),
+        t_budget=cfg["t_budget"],
+        j_budget=cfg["j_budget"],
+    )
+    sol_rec = record["solution"]
+    rows = sol_rec["channels"]
+    sol = NashSolution(
+        tx=Allocation(np.array([row["tx_power"] for row in rows]), params.t_budget),
+        jam=Allocation(np.array([row["jam_power"] for row in rows]), params.j_budget),
+        v=float(sol_rec["v"]),
+        w=float(sol_rec["w"]),
+        u=float(sol_rec["u"]),
+        regimes=tuple(RegimeLabel(row["regime"]) for row in rows),
+        value=float(sol_rec["value"]),
+    )
+    return params, sol
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -38,18 +93,17 @@ def run_cli(capsys, *argv):
 
 class TestLoadConfig:
     def test_valid_config(self, tmp_path):
-        cfg = load_config(write_config(tmp_path))
-        assert cfg.m == 2
-        assert cfg.channels == (1.0, 1.0)
-        params = cfg.to_params()
+        params = load_config(write_config(tmp_path))
+        assert params.m == 2
+        assert list(params.noise) == [1.0, 1.0]
         assert params.t_budget == 2.0
 
     def test_db_noise_converts_once(self, tmp_path):
         path = write_config(tmp_path, channels=[0.0, 10.0, -3.0], noise_unit="db")
-        cfg = load_config(path)
-        assert cfg.channels[0] == pytest.approx(1.0)
-        assert cfg.channels[1] == pytest.approx(10.0)
-        assert cfg.channels[2] == pytest.approx(10.0 ** (-0.3))
+        noise = load_config(path).noise
+        assert noise[0] == pytest.approx(1.0)
+        assert noise[1] == pytest.approx(10.0)
+        assert noise[2] == pytest.approx(10.0 ** (-0.3))
 
     def test_missing_field_named(self, tmp_path):
         path = tmp_path / "c.json"
@@ -276,6 +330,21 @@ class TestOracleCommand:
         assert record["within_bound"] is True
         assert record["n_points"] == 101
 
+    def test_verify_accepts_gap_rounded_below_zero(self, tmp_path, capsys):
+        # the equilibrium jammer sits on a grid vertex, so the computed gap
+        # comes out a few 1e-16 below zero on a correct answer
+        path = write_config(
+            tmp_path, alpha_t=0.5, alpha_j=1.1, t_budget=2.0, j_budget=0.5,
+            channels=[0.5, 0.5, 0.5],
+        )
+        code, out, _ = run_cli(
+            capsys, "oracle", "--config", path, "--resolution", "7", "--verify",
+        )
+        assert code == 0
+        record = json.loads(out)
+        assert record["within_bound"] is True
+        assert abs(record["gap"]) <= 1e-12
+
     def test_too_many_channels_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path, channels=[1.0] * 5)
         code, _, err = run_cli(capsys, "oracle", "--config", path)
@@ -462,6 +531,13 @@ class TestDeterminismAndGoldens:
         )
         assert code == 0
         assert out == (GOLDEN / "sweep_m2.csv").read_text()
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+    def test_golden_file(self, tmp_path, capsys, name):
+        command, *rest = GOLDEN_CASES[name]
+        code, out, _ = run_cli(capsys, command, "--config", write_config(tmp_path), *rest)
+        assert code == 0
+        assert out == (GOLDEN / name).read_text()
 
 
 class TestArgumentErrors:

@@ -144,7 +144,7 @@ class TestSolveNash:
 
 class TestClassifyRegimes:
     def test_three_channel_example(self, asym3):
-        labels = classify_regimes(asym3, v=4.5, u=2.5 / 18.0)
+        labels = classify_regimes(asym3.noise, v=4.5, w=2.0)
         assert labels == (
             RegimeLabel.CONTESTED,
             RegimeLabel.TX_ONLY,
@@ -152,14 +152,11 @@ class TestClassifyRegimes:
         )
 
     def test_noise_equal_to_v_is_unused(self):
-        params = make_params([2.0], 1.0, 1.0)
-        labels = classify_regimes(params, v=2.0, u=0.4)
+        labels = classify_regimes(np.array([2.0]), v=2.0, w=1.0)
         assert labels == (RegimeLabel.UNUSED,)
 
     def test_noise_equal_to_w_is_contested(self):
-        # v=3, u=1/6 puts w exactly at 1.5
-        params = make_params([1.5], 1.0, 1.0)
-        labels = classify_regimes(params, v=3.0, u=1.0 / 6.0)
+        labels = classify_regimes(np.array([1.5]), v=3.0, w=1.5)
         assert labels == (RegimeLabel.CONTESTED,)
 
     def test_trichotomy_is_exhaustive(self):
@@ -167,14 +164,9 @@ class TestClassifyRegimes:
         for _ in range(40):
             params = random_instance(rng)
             sol = solve_nash(params)
-            labels = classify_regimes(params, sol.v, sol.u)
+            labels = classify_regimes(params.noise, sol.v, sol.w)
             assert labels == sol.regimes
             assert all(isinstance(lab, RegimeLabel) for lab in labels)
-
-    @pytest.mark.parametrize("v,u", [(0.0, 0.1), (-1.0, 0.1), (1.0, 0.0), (1.0, -2.0)])
-    def test_rejects_nonpositive_inputs(self, symmetric2, v, u):
-        with pytest.raises(ValueError):
-            classify_regimes(symmetric2, v, u)
 
 
 class TestVerifyNash:
@@ -224,6 +216,34 @@ class TestVerifyNash:
         report = verify_nash(symmetric2, solve_nash(symmetric2), deviations=0)
         assert report.ok
         assert report.tx_excess == 0.0 and report.jam_shortfall == 0.0
+
+    def test_negative_deviations_rejected(self, symmetric2):
+        with pytest.raises(ValueError):
+            verify_nash(symmetric2, solve_nash(symmetric2), deviations=-1)
+
+    def test_tiny_tx_only_power_verifies(self):
+        # channel 1 sits just below v, so its TxOnly power is about 5e-13
+        params = make_params([1.0, 3.0 - 1e-12], 1.0, 1.0)
+        sol = solve_nash(params)
+        assert sol.regimes[1] is RegimeLabel.TX_ONLY
+        assert 0.0 < sol.tx.powers[1] < 1e-12
+        report = verify_nash(params, sol)
+        assert report.ok, report.regime_failures
+
+    def test_removed_tx_only_power_rejected(self, asym3):
+        # TxOnly channel 1 loses its power to channel 0: its height misses v
+        sol = solve_nash(asym3)
+        moved = NashSolution(
+            tx=alloc([4.0, 0.0, 0.0], 4.0),
+            jam=sol.jam,
+            v=sol.v,
+            w=sol.w,
+            u=sol.u,
+            regimes=sol.regimes,
+            value=sol.value,
+        )
+        failures = verify_nash(asym3, moved).regime_failures
+        assert any(f.startswith("channel 1: ") for f in failures), failures
 
 
 class TestUniquenessProbe:

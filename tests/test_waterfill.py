@@ -6,9 +6,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jamgame import EPS_SOLVE, level_for_fills, water_fill
-from jamgame.waterfill import _bisect_level
 
 from conftest import simplex_grid
+
+
+def _bisect_level(floors, budget: float, max_iter: int = 200) -> float:
+    """Bisection solver for the water level; cross-checks the closed form."""
+    f = np.asarray(floors, dtype=float)
+    budget = float(budget)
+    if budget <= 0.0:
+        return float(f.min())
+    lo = float(f.min())
+    hi = float(f.max()) + budget
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        spill = float(np.maximum(mid - f, 0.0).sum())
+        if spill > budget:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= EPS_SOLVE * max(1.0, hi):
+            break
+    return 0.5 * (lo + hi)
 
 floors_strategy = st.lists(
     st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=8
