@@ -6,78 +6,34 @@ jammer minimizes it.  The package computes exact best responses for both
 sides, the unique Nash equilibrium in closed form, and independent checks
 (KKT residuals, a brute-force minimax grid, best-response dynamics) that the
 equilibrium is what it claims to be.
+
+The package exports the entry points, the types a caller builds, and what
+the acceptance gate uses; everything else lives in its own module.
 """
 
 from .best_response import (
-    EPS_KKT,
-    EPS_OPT,
     JammerKktState,
-    KktReport,
     jam_best_response,
-    jam_closed_form,
     jam_rate_gradient,
     kkt_report,
     tx_best_response,
 )
-from .core import (
-    BUDGET_RTOL,
-    Allocation,
-    AllocationReport,
-    ChannelSet,
-    GameParams,
-    sample_simplex,
-    utility,
-    utility_batch,
-    validate_allocation,
-)
-from .equilibrium import (
-    NashSolution,
-    NashVerification,
-    RegimeLabel,
-    SaddleReport,
-    classify_regimes,
-    saddle_probe,
-    solve_nash,
-    verify_nash,
-)
-from .oracle import (
-    EPS_DYN,
-    DynamicsTrace,
-    GridMinimaxResult,
-    GridSpec,
-    grid_minimax,
-    run_dynamics,
-)
-from .waterfill import EPS_SOLVE, LevelCheck, WaterSolution, level_for_fills, water_fill
+from .core import Allocation, ChannelSet, GameParams, sample_simplex, utility, utility_batch
+from .equilibrium import RegimeLabel, saddle_probe, solve_nash, verify_nash
+from .oracle import GridSpec, grid_minimax, run_dynamics
+from .waterfill import water_fill
 
 __all__ = [
-    "BUDGET_RTOL",
-    "EPS_DYN",
-    "EPS_KKT",
-    "EPS_OPT",
-    "EPS_SOLVE",
     "Allocation",
-    "AllocationReport",
     "ChannelSet",
-    "DynamicsTrace",
     "GameParams",
-    "GridMinimaxResult",
     "GridSpec",
     "JammerKktState",
-    "KktReport",
-    "LevelCheck",
-    "NashSolution",
-    "NashVerification",
     "RegimeLabel",
-    "SaddleReport",
-    "WaterSolution",
-    "classify_regimes",
     "grid_minimax",
     "jam_best_response",
-    "jam_closed_form",
     "jam_rate_gradient",
     "kkt_report",
-    "level_for_fills",
     "run_dynamics",
     "sample_simplex",
     "saddle_probe",
@@ -85,7 +41,6 @@ __all__ = [
     "tx_best_response",
     "utility",
     "utility_batch",
-    "validate_allocation",
     "verify_nash",
     "water_fill",
 ]

@@ -21,10 +21,9 @@ from .core import (
     Allocation,
     ChannelSet,
     GameParams,
+    require_feasible,
     sample_simplex,
-    utility,
     utility_batch,
-    validate_allocation,
 )
 from .equilibrium import NashSolution, solve_nash, verify_nash
 from .oracle import EPS_DYN, GridSpec, grid_minimax, run_dynamics
@@ -102,7 +101,10 @@ def load_config(path: str) -> GameParams:
         if not math.isfinite(value):
             raise ConfigError(f"channels[{k}] must be finite")
         if unit == "db":
-            value = 10.0 ** (value / 10.0)
+            try:
+                value = 10.0 ** (value / 10.0)
+            except OverflowError:
+                raise ConfigError(f"channels[{k}] is too large to convert from dB") from None
         if value <= 0.0:
             raise ConfigError(f"channels[{k}] must be positive")
         noise.append(value)
@@ -291,9 +293,10 @@ def _parse_fixed(
     alloc = Allocation(powers=powers, budget=budget)
     if allow_all_zero and powers.size == m and not np.any(powers != 0.0):
         return alloc
-    report = validate_allocation(alloc, m)
-    if not report.ok:
-        raise ConfigError(f"--fixed is not a feasible {who} allocation: {report.describe()}")
+    try:
+        require_feasible(alloc, budget, m, who)
+    except ValueError as exc:
+        raise ConfigError(f"--fixed: {exc}") from exc
     return alloc
 
 
@@ -312,7 +315,7 @@ def cmd_best_response(args: argparse.Namespace) -> int:
         record["response"] = {
             "tx_powers": [_f12(p) for p in tx.powers],
             "level": _f12(level),
-            "value": _f12(utility(params, tx, jam)),
+            "value": _f12(float(utility_batch(params, tx.powers, jam.powers)[0])),
             "level_consistent": check.consistent,
         }
         verified_ok = check.consistent
@@ -352,8 +355,6 @@ def cmd_best_response(args: argparse.Namespace) -> int:
 def _render_best_response(record: dict, fmt: str) -> str:
     if fmt == "json":
         return _dump_json(record)
-    if fmt == "csv":
-        raise ConfigError("csv format is not available for best-response")
     resp = record["response"]
     lines = [f"player = {record['player']}"]
     if record["player"] == "tx":
@@ -417,8 +418,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def _render_oracle(record: dict, fmt: str) -> str:
     if fmt == "json":
         return _dump_json(record)
-    if fmt == "csv":
-        raise ConfigError("csv format is not available for oracle")
     lines = [
         f"resolution = {record['resolution']} ({record['n_points']} grid points)",
         f"grid_value = {_s12(record['grid_value'])}",
@@ -473,8 +472,6 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
 def _render_dynamics(record: dict, fmt: str) -> str:
     if fmt == "json":
         return _dump_json(record)
-    if fmt == "csv":
-        raise ConfigError("csv format is not available for dynamics")
     lines = [
         f"gamma = {_s12(record['gamma'])}  seed = {record['seed']}",
         f"iterations = {record['iterations']}  converged = {str(record['converged']).lower()}",
@@ -563,7 +560,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_br = sub.add_parser(
         "best-response", parents=[common], help="best response to a fixed opponent allocation"
     )
-    p_br.add_argument("--format", choices=("json", "table", "csv"), default="json")
+    p_br.add_argument("--format", choices=("json", "table"), default="json")
     p_br.add_argument("--player", choices=("tx", "jam"), required=True)
     p_br.add_argument(
         "--fixed",
@@ -575,14 +572,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser(
         "oracle", parents=[common], help="brute-force minimax check of the equilibrium value"
     )
-    p_oracle.add_argument("--format", choices=("json", "table", "csv"), default="json")
+    p_oracle.add_argument("--format", choices=("json", "table"), default="json")
     p_oracle.add_argument("--resolution", type=int, default=101)
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_dyn = sub.add_parser(
         "dynamics", parents=[common], help="damped best-response dynamics from a seeded start"
     )
-    p_dyn.add_argument("--format", choices=("json", "table", "csv"), default="json")
+    p_dyn.add_argument("--format", choices=("json", "table"), default="json")
     p_dyn.add_argument("--gamma", type=float, default=0.5)
     p_dyn.add_argument("--seed", type=int, default=0)
     p_dyn.add_argument("--max-iters", type=int, default=10_000)

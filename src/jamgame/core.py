@@ -16,14 +16,12 @@ import numpy as np
 __all__ = [
     "BUDGET_RTOL",
     "Allocation",
-    "AllocationReport",
     "ChannelSet",
     "GameParams",
     "require_feasible",
     "sample_simplex",
     "utility",
     "utility_batch",
-    "validate_allocation",
 ]
 
 #: Relative tolerance on an allocation's budget sum.
@@ -110,9 +108,10 @@ class GameParams:
 class Allocation:
     """A per-channel power split and the budget its entries should sum to.
 
-    Construction does not enforce feasibility; run the allocation through
-    validate_allocation / require_feasible so violations can be reported
-    rather than silently rejected.
+    Construction does not enforce feasibility.  require_feasible is the one
+    check, run where an allocation enters the library (the best responses,
+    utility, saddle_probe, verify_nash); allocations the library builds
+    itself are feasible by construction and are not checked again.
     """
 
     powers: np.ndarray
@@ -127,91 +126,64 @@ class Allocation:
         return int(self.powers.size)
 
 
-@dataclass(frozen=True)
-class AllocationReport:
-    """Outcome of validating one allocation against its invariants."""
-
-    ok: bool
-    expected_len: int
-    actual_len: int
-    negative_indices: tuple[int, ...]
-    nonfinite_indices: tuple[int, ...]
-    budget_gap: float
-    budget_tol: float
-
-    def describe(self) -> str:
-        if self.ok:
-            return "ok"
-        problems = []
-        if self.actual_len != self.expected_len:
-            problems.append(f"length {self.actual_len} != expected {self.expected_len}")
-        if self.nonfinite_indices:
-            problems.append(f"non-finite entries at {list(self.nonfinite_indices)}")
-        if self.negative_indices:
-            problems.append(f"negative entries at {list(self.negative_indices)}")
-        if self.budget_gap > self.budget_tol:
-            problems.append(f"power sum off budget by {self.budget_gap:.6g}")
-        return "; ".join(problems)
-
-
-def validate_allocation(alloc: Allocation, expected_len: int) -> AllocationReport:
-    """Check nonnegativity, length, and the budget sum of an allocation.
-
-    The budget sum is accepted when it is within BUDGET_RTOL (relative to the
-    budget) of the declared budget.
-    """
-    powers = alloc.powers
-    nonfinite = tuple(int(k) for k in np.nonzero(~np.isfinite(powers))[0])
-    negative = tuple(int(k) for k in np.nonzero(np.isfinite(powers) & (powers < 0.0))[0])
-    budget_tol = BUDGET_RTOL * abs(alloc.budget)
-    total = float(powers.sum()) if not nonfinite else math.nan
-    budget_gap = abs(total - alloc.budget) if not nonfinite else math.inf
-    ok = (
-        alloc.m == expected_len
-        and not negative
-        and not nonfinite
-        and budget_gap <= budget_tol
-    )
-    return AllocationReport(
-        ok=ok,
-        expected_len=int(expected_len),
-        actual_len=alloc.m,
-        negative_indices=negative,
-        nonfinite_indices=nonfinite,
-        budget_gap=budget_gap,
-        budget_tol=budget_tol,
-    )
-
-
 def require_feasible(alloc: Allocation, budget: float, m: int, who: str) -> None:
-    """Raise ValueError unless ``alloc`` is a feasible allocation of ``budget``."""
+    """Raise ValueError unless ``alloc`` is a feasible allocation of ``budget``.
+
+    The one feasibility rule: the declared budget matches ``budget``, there
+    are ``m`` entries, every entry is finite and nonnegative, and the entries
+    sum to the budget within BUDGET_RTOL (relative to the budget).  A feasible
+    input costs one sum and one min; the problems are only spelled out for
+    the error message.
+    """
     if abs(alloc.budget - budget) > BUDGET_RTOL * abs(budget):
         raise ValueError(
             f"{who} allocation budget {alloc.budget:.12g} does not match {budget:.12g}"
         )
-    report = validate_allocation(alloc, m)
-    if not report.ok:
-        raise ValueError(f"{who} allocation invalid: {report.describe()}")
+    powers = alloc.powers
+    budget_tol = BUDGET_RTOL * abs(alloc.budget)
+    # A NaN or infinite entry makes the sum non-finite, so this also checks
+    # finiteness.
+    if (
+        powers.size == m
+        and abs(float(powers.sum()) - alloc.budget) <= budget_tol
+        and powers.min() >= 0.0
+    ):
+        return
+    finite = np.isfinite(powers)
+    problems = []
+    if powers.size != m:
+        problems.append(f"length {powers.size} != expected {m}")
+    if not finite.all():
+        problems.append(f"non-finite entries at {np.flatnonzero(~finite).tolist()}")
+    negative = np.flatnonzero(finite & (powers < 0.0)).tolist()
+    if negative:
+        problems.append(f"negative entries at {negative}")
+    budget_gap = abs(float(powers.sum()) - alloc.budget) if finite.all() else math.inf
+    if budget_gap > budget_tol:
+        problems.append(f"power sum off budget by {budget_gap:.6g}")
+    raise ValueError(f"{who} allocation invalid: {'; '.join(problems)}")
 
 
 def utility(params: GameParams, tx: Allocation, jam: Allocation) -> float:
     """Transmitter rate (1/2)·sum_k ln(1 + alpha_t·T_k / (alpha_j·J_k + N_k)).
 
-    Both allocations are validated against their budgets first; the result is
-    finite and nonnegative since every noise power is positive.
+    The checked entry point: both allocations must pass require_feasible
+    against their budgets.  The result is finite and nonnegative since every
+    noise power is positive.  utility_batch is the formula itself.
     """
     require_feasible(tx, params.t_budget, params.m, "tx")
     require_feasible(jam, params.j_budget, params.m, "jam")
-    snr = params.alpha_t * tx.powers / (params.alpha_j * jam.powers + params.noise)
-    return 0.5 * float(np.sum(np.log1p(snr)))
+    return float(utility_batch(params, tx.powers, jam.powers)[0])
 
 
 def utility_batch(params: GameParams, tx_powers, jam_powers) -> np.ndarray:
     """Row-wise transmitter rates for batched raw power vectors.
 
     ``tx_powers`` and ``jam_powers`` broadcast against each other along the
-    leading axis; no feasibility checks are applied.  Used by the deviation
-    probes, where thousands of simplex samples are evaluated at once.
+    leading axis; no feasibility checks are applied.  The one payoff formula:
+    utility checks its inputs and calls it, and the library scores the
+    allocations it builds itself (and the deviation probes' simplex samples)
+    with it directly.
     """
     tx = np.atleast_2d(np.asarray(tx_powers, dtype=float))
     jam = np.atleast_2d(np.asarray(jam_powers, dtype=float))

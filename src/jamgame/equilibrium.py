@@ -122,7 +122,7 @@ def solve_nash(params: GameParams) -> NashSolution:
         w=w,
         u=u,
         regimes=classify_regimes(noise, v, w),
-        value=utility(params, tx, jam),
+        value=float(utility_batch(params, tx.powers, jam.powers)[0]),
     )
 
 
@@ -221,33 +221,32 @@ def verify_nash(
     sol: NashSolution,
     deviations: int = 512,
     seed: int = 0,
-    eps_opt: float = EPS_OPT,
-    eps_kkt: float = EPS_KKT,
 ) -> NashVerification:
     """Stress a candidate equilibrium from every angle the theory offers.
 
     Checks are: (1) both allocations feasible; (2) best-response gaps for the
-    two players within eps_opt; (3) ``deviations`` random simplex deviations
-    per player (saddle_probe) never improve on the candidate beyond eps_opt;
-    (4) jammer KKT residuals within eps_kkt; (5) regime labels match the
+    two players within EPS_OPT; (3) ``deviations`` random simplex deviations
+    per player (saddle_probe) never improve on the candidate beyond EPS_OPT;
+    (4) jammer KKT residuals within EPS_KKT; (5) regime labels match the
     stored levels, Unused channels carry no power, TxOnly channels are not
-    jammed, and every powered channel reaches height v within eps_opt;
+    jammed, and every powered channel reaches height v within EPS_OPT;
     (6) the stored (v, w, u) reproduce each other through the closed-form
     relation.  Zero deviations skip check (3); a negative count raises
-    ValueError.
+    ValueError.  The candidate is checked once, on entry; the best responses
+    built from it are scored unchecked.
     """
     require_feasible(sol.tx, params.t_budget, params.m, "tx")
     require_feasible(sol.jam, params.j_budget, params.m, "jam")
 
-    value = utility(params, sol.tx, sol.jam)
+    value = float(utility_batch(params, sol.tx.powers, sol.jam.powers)[0])
 
     tx_star, _ = tx_best_response(params, sol.jam)
-    tx_gap = utility(params, tx_star, sol.jam) - value
+    tx_gap = float(utility_batch(params, tx_star.powers, sol.jam.powers)[0]) - value
 
     jam_star, _ = jam_best_response(params, sol.tx)
-    jam_gap = value - utility(params, sol.tx, jam_star)
+    jam_gap = value - float(utility_batch(params, sol.tx.powers, jam_star.powers)[0])
 
-    probe = saddle_probe(params, sol.tx, sol.jam, trials=deviations, seed=seed, tol=eps_opt)
+    probe = saddle_probe(params, sol.tx, sol.jam, trials=deviations, seed=seed)
 
     state = JammerKktState(
         u=sol.u,
@@ -274,7 +273,7 @@ def verify_nash(
         if label is RegimeLabel.TX_ONLY and j_k > zero_jam:
             regime_failures.append(f"channel {k}: TxOnly but jammed")
         height = params.alpha_t * t_k + params.alpha_j * j_k + params.noise[k]
-        if abs(height - sol.v) > eps_opt * max(1.0, sol.v):
+        if abs(height - sol.v) > EPS_OPT * max(1.0, sol.v):
             name = "contested" if label is RegimeLabel.CONTESTED else label.value
             regime_failures.append(f"channel {k}: {name} height {height:.12g} misses v")
 
@@ -284,14 +283,14 @@ def verify_nash(
     multiplier_gap = abs(u_back - sol.u)
 
     ok = (
-        tx_gap <= eps_opt
-        and jam_gap <= eps_opt
-        and probe.tx_excess <= eps_opt
-        and probe.jam_shortfall <= eps_opt
-        and kkt.ok(eps_kkt)
+        tx_gap <= EPS_OPT
+        and jam_gap <= EPS_OPT
+        and probe.tx_excess <= EPS_OPT
+        and probe.jam_shortfall <= EPS_OPT
+        and kkt.ok(EPS_KKT)
         and not regime_failures
-        and level_gap <= eps_opt * max(1.0, sol.w)
-        and multiplier_gap <= eps_opt * max(1.0, sol.u)
+        and level_gap <= EPS_OPT * max(1.0, sol.w)
+        and multiplier_gap <= EPS_OPT * max(1.0, sol.u)
     )
     return NashVerification(
         tx_gap=float(tx_gap),

@@ -19,11 +19,13 @@ from typing import Iterator
 import numpy as np
 
 from .best_response import jam_best_response, tx_best_response
-from .core import Allocation, GameParams, utility
+from .core import Allocation, GameParams, utility_batch
 from .equilibrium import solve_nash
 
 __all__ = [
     "EPS_DYN",
+    "EPS_STEP",
+    "MAX_GRID_POINTS",
     "DynamicsTrace",
     "GridMinimaxResult",
     "GridSpec",
@@ -34,6 +36,12 @@ __all__ = [
 #: Convergence tolerance for best-response dynamics distance to equilibrium.
 EPS_DYN = 1e-6
 
+#: Largest change in any power entry at which run_dynamics stops.
+EPS_STEP = 1e-9
+
+#: Most grid points a GridSpec may have.
+MAX_GRID_POINTS = 10_000_000
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -41,22 +49,21 @@ class GridSpec:
 
     ``resolution`` points per axis means a spacing of budget/(resolution - 1)
     and C(resolution - 1 + m - 1, m - 1) grid points in total.  Construction
-    rejects grids whose point count exceeds ``max_evaluations``.
+    rejects grids of more than MAX_GRID_POINTS points.
     """
 
     resolution: int
     m: int
-    max_evaluations: int = 10_000_000
 
     def __post_init__(self) -> None:
         if self.resolution < 2:
             raise ValueError("resolution must be at least 2")
         if self.m < 1:
             raise ValueError("m must be at least 1")
-        if self.n_points > self.max_evaluations:
+        if self.n_points > MAX_GRID_POINTS:
             raise ValueError(
                 f"grid of {self.n_points} points exceeds the cap of "
-                f"{self.max_evaluations} evaluations"
+                f"{MAX_GRID_POINTS} evaluations"
             )
 
     @property
@@ -111,7 +118,8 @@ def grid_minimax(params: GameParams, spec: GridSpec) -> GridMinimaxResult:
 
     with lipschitz_bound = m * alpha_j / (2 min_k N_k).  Ties on the grid
     resolve to the lexicographically smallest jammer point, keeping results
-    reproducible.
+    reproducible.  Grid points are feasible by construction; only the
+    transmitter best response checks each one.
     """
     if spec.m != params.m:
         raise ValueError("grid dimension does not match the game")
@@ -126,7 +134,7 @@ def grid_minimax(params: GameParams, spec: GridSpec) -> GridMinimaxResult:
         jam_powers = np.array(combo, dtype=float) * spacing
         jam = Allocation(powers=jam_powers, budget=params.j_budget)
         tx, _ = tx_best_response(params, jam)
-        inner = utility(params, tx, jam)
+        inner = float(utility_batch(params, tx.powers, jam_powers)[0])
         n_points += 1
         if inner < best_value:
             best_value = inner
@@ -171,7 +179,6 @@ def run_dynamics(
     damping: float = 0.5,
     max_iters: int = 10_000,
     start: tuple[np.ndarray, np.ndarray] | None = None,
-    tol: float = 1e-9,
     alternating: bool = False,
 ) -> DynamicsTrace:
     """Iterate x <- (1 - damping)*x + damping*BR(opponent) for both players.
@@ -179,7 +186,7 @@ def run_dynamics(
     By default both players update simultaneously from the previous iterate;
     with ``alternating=True`` the jammer reacts to the transmitter's fresh
     update within the same step.  Iteration stops when the largest change in
-    any power entry falls below ``tol`` (then ``converged`` is True) or after
+    any power entry falls below EPS_STEP (then ``converged`` is True) or after
     ``max_iters`` steps.  ``start`` defaults to uniform allocations.
 
     The successive-change threshold is deliberately tighter than EPS_DYN:
@@ -221,17 +228,13 @@ def run_dynamics(
             float(np.max(np.abs(new_jam - jam_powers))),
         )
         tx_powers, jam_powers = new_tx, new_jam
-        value = utility(
-            params,
-            Allocation(powers=tx_powers, budget=params.t_budget),
-            Allocation(powers=jam_powers, budget=params.j_budget),
-        )
+        value = float(utility_batch(params, tx_powers, jam_powers)[0])
         tx_snapshot = tx_powers.copy()
         jam_snapshot = jam_powers.copy()
         tx_snapshot.setflags(write=False)
         jam_snapshot.setflags(write=False)
         iterates.append((tx_snapshot, jam_snapshot, value))
-        if step <= tol:
+        if step <= EPS_STEP:
             converged = True
             break
 

@@ -7,11 +7,13 @@ tests compare two genuinely different routes to the same number.
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from jamgame import Allocation, ChannelSet, GameParams
+from jamgame.core import require_feasible
 
 
 def make_params(noise, t_budget, j_budget, alpha_t=1.0, alpha_j=1.0) -> GameParams:
@@ -71,3 +73,21 @@ def asym3() -> GameParams:
 @pytest.fixture
 def single1() -> GameParams:
     return make_params([1.0], 1.0, 1.0)
+
+
+@pytest.fixture
+def feasibility_checks(monkeypatch):
+    """Record the ``who`` of every require_feasible call, at every jamgame
+    module that binds it."""
+    calls = []
+
+    def counting(alloc, budget, m, who):
+        calls.append(who)
+        return require_feasible(alloc, budget, m, who)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "jamgame":
+            continue
+        if vars(module).get("require_feasible") is require_feasible:
+            monkeypatch.setattr(module, "require_feasible", counting)
+    return calls

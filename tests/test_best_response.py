@@ -6,12 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jamgame import (
-    EPS_KKT,
-    EPS_OPT,
-    EPS_SOLVE,
     JammerKktState,
     jam_best_response,
-    jam_closed_form,
     jam_rate_gradient,
     kkt_report,
     sample_simplex,
@@ -19,6 +15,8 @@ from jamgame import (
     utility,
     utility_batch,
 )
+from jamgame.best_response import EPS_KKT, EPS_OPT, jam_closed_form
+from jamgame.waterfill import EPS_SOLVE
 
 from conftest import alloc, make_params, random_instance, simplex_grid
 

@@ -9,17 +9,17 @@ import numpy as np
 import pytest
 
 from jamgame import (
-    BUDGET_RTOL,
     Allocation,
     ChannelSet,
     GameParams,
-    NashSolution,
     RegimeLabel,
     solve_nash,
     utility,
     verify_nash,
 )
 from jamgame.cli import ConfigError, load_config, main
+from jamgame.core import BUDGET_RTOL
+from jamgame.equilibrium import NashSolution
 
 from conftest import make_params
 
@@ -140,6 +140,14 @@ class TestLoadConfig:
         path = write_config(tmp_path, channels=[1.0, -2.0])
         with pytest.raises(ConfigError, match=r"channels\[1\] must be positive"):
             load_config(path)
+
+    def test_db_noise_too_large_rejected(self, tmp_path, capsys):
+        path = write_config(tmp_path, channels=[4000, 1], noise_unit="db")
+        with pytest.raises(ConfigError, match=r"channels\[0\] is too large to convert from dB"):
+            load_config(path)
+        code, out, err = run_cli(capsys, "nash", "--config", path)
+        assert (code, out) == (2, "")
+        assert err == "error: channels[0] is too large to convert from dB\n"
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -299,6 +307,7 @@ class TestBestResponseCommand:
         )
         assert code == 2
         assert "--fixed" in err
+        assert "power sum off budget" in err
 
     def test_malformed_fixed_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -309,14 +318,21 @@ class TestBestResponseCommand:
         assert code == 2
         assert "comma-separated" in err
 
-    def test_csv_format_rejected(self, tmp_path, capsys):
-        code, _, err = run_cli(
-            capsys,
-            "best-response", "--config", write_config(tmp_path),
-            "--player", "tx", "--fixed", "0.5,0.5", "--format", "csv",
-        )
-        assert code == 2
-        assert "csv" in err
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("best-response", "--player", "tx", "--fixed", "0.5,0.5"),
+            ("oracle", "--resolution", "201"),
+            ("dynamics",),
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_csv_format_rejected(self, tmp_path, capsys, command):
+        # argparse refuses the format before the command does any work
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--config", write_config(tmp_path), "--format", "csv"])
+        assert excinfo.value.code == 2
+        assert "csv" in capsys.readouterr().err
 
 
 class TestOracleCommand:

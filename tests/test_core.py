@@ -6,15 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jamgame import (
-    BUDGET_RTOL,
     Allocation,
     ChannelSet,
     GameParams,
     sample_simplex,
     utility,
     utility_batch,
-    validate_allocation,
 )
+from jamgame.core import BUDGET_RTOL, require_feasible
 
 from conftest import alloc, make_params, rate
 
@@ -56,39 +55,45 @@ class TestTypes:
             a.powers[0] = 2.0
 
 
-class TestValidateAllocation:
-    def test_ok(self):
-        report = validate_allocation(alloc([0.5, 0.5], 1.0), 2)
-        assert report.ok
-        assert report.describe() == "ok"
+class TestRequireFeasible:
+    def test_feasible_passes(self):
+        assert require_feasible(alloc([0.5, 0.5], 1.0), 1.0, 2, "tx") is None
 
-    def test_negative_entry_identified(self):
-        report = validate_allocation(alloc([-0.1, 1.1], 1.0), 2)
-        assert not report.ok
-        assert report.negative_indices == (0,)
+    @pytest.mark.parametrize(
+        "powers, m, problem",
+        [
+            ([1.0], 3, r"length 1 != expected 3"),
+            ([math.nan, 1.0], 2, r"non-finite entries at \[0\]"),
+            ([-0.1, 1.1], 2, r"negative entries at \[0\]"),
+            ([0.4, 0.4], 2, r"power sum off budget by 0\.2"),
+        ],
+        ids=["length", "non-finite", "negative", "budget-sum"],
+    )
+    def test_problem_named(self, powers, m, problem):
+        with pytest.raises(ValueError, match=rf"^tx allocation invalid: .*{problem}"):
+            require_feasible(alloc(powers, 1.0), 1.0, m, "tx")
 
-    def test_budget_sum_violation(self):
-        report = validate_allocation(alloc([0.4, 0.4], 1.0), 2)
-        assert not report.ok
-        assert report.budget_gap == pytest.approx(0.2)
-        assert "budget" in report.describe()
+    def test_every_problem_named_in_one_message(self):
+        with pytest.raises(ValueError) as exc:
+            require_feasible(alloc([-1.0, math.inf, 0.5], 1.0), 1.0, 2, "jam")
+        assert str(exc.value) == (
+            "jam allocation invalid: length 3 != expected 2; "
+            "non-finite entries at [1]; negative entries at [0]; "
+            "power sum off budget by inf"
+        )
 
-    def test_length_mismatch(self):
-        report = validate_allocation(alloc([1.0], 1.0), 3)
-        assert not report.ok
-        assert report.actual_len == 1 and report.expected_len == 3
-
-    def test_nonfinite_entry(self):
-        report = validate_allocation(alloc([math.nan, 1.0], 1.0), 2)
-        assert not report.ok
-        assert report.nonfinite_indices == (0,)
+    def test_declared_budget_mismatch(self):
+        with pytest.raises(ValueError, match="jam allocation budget 2 does not match 1$"):
+            require_feasible(alloc([0.5, 0.5], 2.0), 1.0, 2, "jam")
 
     def test_budget_tolerance_is_relative(self):
         # off by less than BUDGET_RTOL relative to the budget: still ok
         budget = 1e6
-        report = validate_allocation(alloc([budget / 2, budget / 2 + 1e-4], budget), 2)
-        assert report.budget_gap <= BUDGET_RTOL * budget
-        assert report.ok
+        assert 1e-4 <= BUDGET_RTOL * budget
+        require_feasible(alloc([budget / 2, budget / 2 + 1e-4], budget), budget, 2, "tx")
+        # the same absolute gap at a unit budget is out of tolerance
+        with pytest.raises(ValueError, match="power sum off budget by 0.0001"):
+            require_feasible(alloc([0.5, 0.5 + 1e-4], 1.0), 1.0, 2, "tx")
 
 
 class TestUtility:
@@ -185,6 +190,23 @@ class TestUtility:
                 utility_batch(params, tx1, jam1)[0] + utility_batch(params, tx1, jam2)[0]
             )
             assert mid_jam <= avg_jam + 1e-12
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 9, 130, 4096])
+    def test_utility_is_the_batch_formula_exactly(self, m):
+        # utility only adds the two checks: same bits as the unchecked formula
+        rng = np.random.default_rng(m)
+        for _ in range(20):
+            params = make_params(
+                rng.uniform(0.5, 8.0, size=m),
+                float(rng.uniform(0.5, 5.0)),
+                float(rng.uniform(0.5, 5.0)),
+                alpha_t=float(rng.uniform(0.5, 2.0)),
+                alpha_j=float(rng.uniform(0.5, 2.0)),
+            )
+            tx = alloc(sample_simplex(rng, 1, m, params.t_budget)[0], params.t_budget)
+            jam = alloc(sample_simplex(rng, 1, m, params.j_budget)[0], params.j_budget)
+            batch = utility_batch(params, tx.powers, jam.powers)[0]
+            assert utility(params, tx, jam) == batch
 
     def test_batch_matches_scalar(self, asym3):
         rng = np.random.default_rng(5)

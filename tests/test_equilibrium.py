@@ -5,10 +5,7 @@ import pytest
 
 from jamgame import (
     Allocation,
-    EPS_SOLVE,
-    NashSolution,
     RegimeLabel,
-    classify_regimes,
     jam_best_response,
     run_dynamics,
     sample_simplex,
@@ -18,6 +15,8 @@ from jamgame import (
     verify_nash,
     water_fill,
 )
+from jamgame.equilibrium import NashSolution, classify_regimes
+from jamgame.waterfill import EPS_SOLVE
 
 from conftest import alloc, make_params, random_instance
 
@@ -262,3 +261,14 @@ class TestUniquenessProbe:
             last_tx, last_jam, _ = trace.iterates[-1]
             assert np.max(np.abs(last_tx - reference.tx.powers)) <= 1e-6
             assert np.max(np.abs(last_jam - reference.jam.powers)) <= 1e-6
+
+
+class TestFeasibilityChecks:
+    def test_solve_nash_checks_nothing(self, asym3, feasibility_checks):
+        solve_nash(asym3)
+        assert feasibility_checks == []
+
+    def test_verify_nash_checks_six_times(self, asym3, feasibility_checks):
+        # two entry checks, one per best response, two in saddle_probe
+        verify_nash(asym3, solve_nash(asym3))
+        assert sorted(feasibility_checks) == ["jam"] * 3 + ["tx"] * 3

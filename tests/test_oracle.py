@@ -5,15 +5,13 @@ import pytest
 
 from jamgame import (
     Allocation,
-    DynamicsTrace,
-    EPS_DYN,
     GridSpec,
     grid_minimax,
     run_dynamics,
     saddle_probe,
     solve_nash,
 )
-from jamgame.oracle import _compositions
+from jamgame.oracle import EPS_DYN, MAX_GRID_POINTS, DynamicsTrace, _compositions
 
 from conftest import alloc, make_params, random_instance
 
@@ -35,9 +33,11 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="cap"):
             GridSpec(resolution=3000, m=4)
 
-    def test_cap_is_configurable(self):
-        spec = GridSpec(resolution=3000, m=4, max_evaluations=10**10)
-        assert spec.n_points > 10**7
+    def test_cap_error_reports_point_count(self):
+        n_points = math.comb(3000 - 1 + 4 - 1, 4 - 1)
+        assert n_points > MAX_GRID_POINTS
+        with pytest.raises(ValueError, match=f"grid of {n_points} points exceeds the cap"):
+            GridSpec(resolution=3000, m=4)
 
 
 class TestGridMinimax:
@@ -220,3 +220,17 @@ class TestRunDynamics:
     def test_rejects_nonpositive_max_iters(self, symmetric2):
         with pytest.raises(ValueError):
             run_dynamics(symmetric2, max_iters=0)
+
+
+class TestFeasibilityCheckedOnce:
+    def test_grid_minimax_checks_each_point_once(self, asym3, feasibility_checks):
+        result = grid_minimax(asym3, GridSpec(resolution=21, m=3))
+        assert len(feasibility_checks) == result.n_points
+        assert set(feasibility_checks) == {"jam"}
+
+    @pytest.mark.parametrize("alternating", [False, True])
+    def test_run_dynamics_checks_at_most_two_per_step(
+        self, asym3, feasibility_checks, alternating
+    ):
+        trace = run_dynamics(asym3, damping=0.5, max_iters=50, alternating=alternating)
+        assert 0 < len(feasibility_checks) <= 2 * trace.n_iters

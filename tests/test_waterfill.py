@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jamgame import EPS_SOLVE, level_for_fills, water_fill
+from jamgame.waterfill import EPS_SOLVE, level_for_fills, water_fill
 
 from conftest import simplex_grid
 
