@@ -101,16 +101,26 @@ def solve_nash(params: GameParams) -> NashSolution:
     The construction is two nested water-fillings.  First the jammer pours
     alpha_j*J over the raw noise floors, fixing the level w.  Then the
     transmitter pours alpha_t*T over the floors max(N_k, w), fixing v.  The
-    multiplier u follows algebraically from (v, w).
+    multiplier u follows algebraically from (v, w).  A budget so small next
+    to the floors it is poured over that it fills no channel in floating
+    point raises ValueError naming that budget.
     """
     noise = params.noise
     jam_ws = water_fill(noise, params.alpha_j * params.j_budget)
     w = jam_ws.level
-    assert jam_ws.active, "positive jammer budget must fill at least one channel"
+    if not jam_ws.active:
+        raise ValueError(
+            f"j_budget {params.j_budget:.6g} is below the float resolution of "
+            f"the noise floors it is poured over (lowest {float(noise.min()):.6g})"
+        )
 
     tx_ws = water_fill(np.maximum(noise, w), params.alpha_t * params.t_budget)
     v = tx_ws.level
-    assert v > w, "transmitter level must clear the jammer level"
+    if not tx_ws.active:
+        raise ValueError(
+            f"t_budget {params.t_budget:.6g} is below the float resolution of "
+            f"the floors max(N_k, w) it is poured over (jammer level w = {w:.6g})"
+        )
 
     u = params.alpha_j * (v - w) / (2.0 * v * w)
     tx = Allocation(powers=tx_ws.fills / params.alpha_t, budget=params.t_budget)

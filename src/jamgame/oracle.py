@@ -3,7 +3,9 @@
 Two routes that do not share code with the solver:
 
 * grid_minimax discretizes the jammer simplex and, at every grid point,
-  answers with the transmitter's exact best response.  Minimizing the inner
+  answers with the transmitter's exact best response: one water-fill over
+  the floors alpha_j*J_k + N_k.  The grid is scored in blocks of rows, one
+  row water-fill and one payoff evaluation per block.  Minimizing the inner
   maximum over the grid gives an upper bound on the game value that must sit
   within a provable Lipschitz margin of the closed-form value.
 * run_dynamics iterates damped best responses and watches them contract onto
@@ -12,6 +14,7 @@ Two routes that do not share code with the solver:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -19,8 +22,9 @@ from typing import Iterator
 import numpy as np
 
 from .best_response import jam_best_response, tx_best_response
-from .core import Allocation, GameParams, utility_batch
+from .core import Allocation, GameParams, require_feasible, utility_batch
 from .equilibrium import solve_nash
+from .waterfill import _fill_rows
 
 __all__ = [
     "EPS_DYN",
@@ -41,6 +45,11 @@ EPS_STEP = 1e-9
 
 #: Most grid points a GridSpec may have.
 MAX_GRID_POINTS = 10_000_000
+
+# Rows per block of grid points scored at once.  Large enough that the
+# per-block NumPy calls are cheap next to the work in them, small enough to
+# keep peak memory flat even at MAX_GRID_POINTS.
+_GRID_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -71,14 +80,23 @@ class GridSpec:
         return math.comb(self.resolution - 1 + self.m - 1, self.m - 1)
 
 
-def _compositions(n: int, m: int) -> Iterator[tuple[int, ...]]:
-    """All m-tuples of nonnegative ints summing to n, lexicographic order."""
-    if m == 1:
-        yield (n,)
-        return
-    for head in range(n + 1):
-        for tail in _compositions(n - head, m - 1):
-            yield (head,) + tail
+def _grid_blocks(steps: int, m: int) -> Iterator[np.ndarray]:
+    """All m-vectors of nonnegative ints summing to ``steps``.
+
+    Yielded in lexicographic order as (B, m) blocks of at most
+    _GRID_BLOCK_ROWS rows.  Stars and bars: each choice of m - 1 bar
+    positions among steps + m - 1 slots is one point, and the counts between
+    consecutive bars are its coordinates; combinations come in lexicographic
+    order, and so do the points.
+    """
+    slots = steps + m - 1
+    bars = itertools.combinations(range(slots), m - 1)
+    while True:
+        chunk = list(itertools.islice(bars, _GRID_BLOCK_ROWS))
+        if not chunk:
+            return
+        cuts = np.array(chunk, dtype=np.int64).reshape(len(chunk), m - 1)
+        yield np.diff(cuts, axis=1, prepend=-1, append=slots) - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,30 +136,33 @@ def grid_minimax(params: GameParams, spec: GridSpec) -> GridMinimaxResult:
 
     with lipschitz_bound = m * alpha_j / (2 min_k N_k).  Ties on the grid
     resolve to the lexicographically smallest jammer point, keeping results
-    reproducible.  Grid points are feasible by construction; only the
-    transmitter best response checks each one.
+    reproducible.  Grid points are feasible by construction and are not
+    checked; each block of them is scored with one row water-fill of
+    alpha_t*T over the floors alpha_j*J_k + N_k and one payoff evaluation.
     """
     if spec.m != params.m:
         raise ValueError("grid dimension does not match the game")
     steps = spec.resolution - 1
     spacing = params.j_budget / steps
+    tx_budget = params.alpha_t * params.t_budget
 
     best_value = math.inf
     best_jam: np.ndarray | None = None
     best_tx: np.ndarray | None = None
     n_points = 0
-    for combo in _compositions(steps, spec.m):
-        jam_powers = np.array(combo, dtype=float) * spacing
-        jam = Allocation(powers=jam_powers, budget=params.j_budget)
-        tx, _ = tx_best_response(params, jam)
-        inner = float(utility_batch(params, tx.powers, jam_powers)[0])
-        n_points += 1
-        if inner < best_value:
-            best_value = inner
-            best_jam = jam_powers
-            best_tx = tx.powers
+    for block in _grid_blocks(steps, spec.m):
+        jam = block * spacing
+        _, fills = _fill_rows(params.alpha_j * jam + params.noise, tx_budget)
+        tx = fills / params.alpha_t
+        inner = utility_batch(params, tx, jam)
+        n_points += len(block)
+        k = int(np.argmin(inner))
+        # strict: an earlier block keeps a tie, and argmin keeps the first
+        if inner[k] < best_value:
+            best_value = float(inner[k])
+            best_jam = jam[k].copy()
+            best_tx = tx[k].copy()
 
-    assert best_jam is not None and best_tx is not None
     lipschitz = params.m * params.alpha_j / (2.0 * float(params.noise.min()))
     return GridMinimaxResult(
         value=best_value,
@@ -187,7 +208,8 @@ def run_dynamics(
     with ``alternating=True`` the jammer reacts to the transmitter's fresh
     update within the same step.  Iteration stops when the largest change in
     any power entry falls below EPS_STEP (then ``converged`` is True) or after
-    ``max_iters`` steps.  ``start`` defaults to uniform allocations.
+    ``max_iters`` steps.  ``start`` defaults to uniform allocations; a
+    caller's start is checked once, on entry, with require_feasible.
 
     The successive-change threshold is deliberately tighter than EPS_DYN:
     with damping around 0.5 the residual distance to the fixed point is a
@@ -205,8 +227,10 @@ def run_dynamics(
     else:
         tx_powers = np.array(start[0], dtype=float)
         jam_powers = np.array(start[1], dtype=float)
-        if tx_powers.shape != (params.m,) or jam_powers.shape != (params.m,):
-            raise ValueError("start vectors must have one entry per channel")
+        tx_start = Allocation(powers=tx_powers, budget=params.t_budget)
+        jam_start = Allocation(powers=jam_powers, budget=params.j_budget)
+        require_feasible(tx_start, params.t_budget, params.m, "start tx")
+        require_feasible(jam_start, params.j_budget, params.m, "start jam")
 
     iterates: list[tuple[np.ndarray, np.ndarray, float]] = []
     converged = False

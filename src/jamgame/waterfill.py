@@ -5,6 +5,10 @@ optimizer pours power above a common water level v: x_k = max(v - floors[k], 0)
 with v chosen so the fills exhaust the budget.  The level is found in closed
 form by scanning breakpoints of the piecewise-linear map v -> sum (v - f)+,
 which avoids iteration entirely.
+
+One row kernel, _fill_rows, does the pouring for a whole (B, M) block of
+floors at one budget.  water_fill runs it on a single row; grid_minimax
+runs it on blocks of jammer grid points.
 """
 
 from __future__ import annotations
@@ -50,6 +54,30 @@ def _check_floors(floors) -> np.ndarray:
     return arr
 
 
+def _fill_rows(floors: np.ndarray, budget: float) -> tuple[np.ndarray, np.ndarray]:
+    """Water-fill ``budget`` over every row of a (B, M) array of floors.
+
+    Returns the (B,) water levels and the (B, M) fills.  The inputs are
+    trusted: floors finite and nonnegative, budget finite and nonnegative.
+    Each row is solved exactly as water_fill documents; a row in which no
+    candidate level holds water (a zero budget, or one below the float
+    resolution of the floors) gets its lowest floor as the level and no fill.
+    """
+    fs = np.sort(floors, axis=1, kind="stable")
+    counts = np.arange(1, floors.shape[1] + 1, dtype=float)
+    levels = (budget + np.cumsum(fs, axis=1)) / counts
+    # Level candidates stay valid exactly while they sit above their own
+    # floor; the last valid one uses every channel that holds water.  A zero
+    # budget pours nothing even where a rounded mean of equal floors lands
+    # one ulp above them.
+    valid = (levels > fs) & (budget > 0.0)
+    last = floors.shape[1] - 1 - np.argmax(valid[:, ::-1], axis=1)
+    rows = np.arange(floors.shape[0])
+    level = np.where(valid[rows, last], levels[rows, last], fs[:, 0])
+    fills = np.maximum(level[:, None] - floors, 0.0)
+    return level, fills
+
+
 def water_fill(floors, budget: float) -> WaterSolution:
     """Spread ``budget`` above ``floors`` at a common water level.
 
@@ -72,35 +100,17 @@ def water_fill(floors, budget: float) -> WaterSolution:
     With floors sorted ascending, the candidate level using the lowest m
     floors is L_m = (budget + f_1 + ... + f_m) / m.  L_m is the true level
     iff L_m > f_m (all m candidates actually hold water), and the largest
-    such m wins.  A zero budget returns level min(floors) with no active
-    channel; the level is then the infimum of levels with zero spill, kept
-    finite by convention.
+    such m wins.  A zero budget, or one below the float resolution of the
+    floors, returns level min(floors) with no active channel; the level is
+    then the infimum of levels with zero spill, kept finite by convention.
     """
     f = _check_floors(floors)
     budget = float(budget)
     if not math.isfinite(budget) or budget < 0.0:
         raise ValueError("budget must be finite and nonnegative")
-
-    if budget == 0.0:
-        fills = np.zeros_like(f)
-        return WaterSolution(level=float(f.min()), fills=fills, active=())
-
-    order = np.argsort(f, kind="stable")
-    fs = f[order]
-    counts = np.arange(1, f.size + 1, dtype=float)
-    levels = (budget + np.cumsum(fs)) / counts
-    # Level candidates stay valid exactly while they sit above their own
-    # floor; the last valid one uses every channel that holds water.
-    valid = levels > fs
-    candidates = np.nonzero(valid)[0]
-    if candidates.size == 0:
-        # budget below the float resolution of the floors; same as zero budget
-        return WaterSolution(level=float(f.min()), fills=np.zeros_like(f), active=())
-    m_star = int(candidates[-1]) + 1
-    level = float(levels[m_star - 1])
-    fills = np.maximum(level - f, 0.0)
-    active = tuple(int(k) for k in np.nonzero(fills > 0.0)[0])
-    return WaterSolution(level=level, fills=fills, active=active)
+    level, fills = _fill_rows(f[np.newaxis, :], budget)
+    active = tuple(int(k) for k in np.nonzero(fills[0] > 0.0)[0])
+    return WaterSolution(level=float(level[0]), fills=fills[0], active=active)
 
 
 @dataclass(frozen=True)

@@ -218,6 +218,13 @@ class TestNashCommand:
         assert out == ""
         assert "j_budget must be positive" in err
 
+    def test_budget_below_float_resolution_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, t_budget=1e-300, channels=[1.0, 2.0])
+        code, out, err = run_cli(capsys, "nash", "--config", path)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: t_budget 1e-300 is below the float resolution")
+        assert err.count("\n") == 1
+
     def test_exit_3_on_verification_failure(self, tmp_path, capsys, monkeypatch):
         # force the verifier to report failure; the record is still emitted
         import jamgame.cli as cli_module

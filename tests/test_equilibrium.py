@@ -140,6 +140,19 @@ class TestSolveNash:
             assert j_dev <= 1e-3
             assert all(r is RegimeLabel.CONTESTED for r in sol.regimes)
 
+    @pytest.mark.parametrize(
+        "t_budget, j_budget, named",
+        [(1e-300, 1.0, "t_budget 1e-300"), (1.0, 1e-300, "j_budget 1e-300"),
+         (1.0, 1e300, "t_budget 1 ")],
+    )
+    def test_budget_below_float_resolution_rejected(self, t_budget, j_budget, named):
+        # each budget fills no channel of the floors it is poured over: the
+        # noise for the jammer, max(N_k, w) for the transmitter
+        params = make_params([1.0, 2.0], t_budget, j_budget)
+        with pytest.raises(ValueError, match="below the float resolution") as info:
+            solve_nash(params)
+        assert str(info.value).startswith(named)
+
 
 class TestClassifyRegimes:
     def test_three_channel_example(self, asym3):

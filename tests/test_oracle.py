@@ -10,20 +10,62 @@ from jamgame import (
     run_dynamics,
     saddle_probe,
     solve_nash,
+    tx_best_response,
 )
-from jamgame.oracle import EPS_DYN, MAX_GRID_POINTS, DynamicsTrace, _compositions
+from jamgame.core import BUDGET_RTOL, utility_batch
+from jamgame.oracle import (
+    _GRID_BLOCK_ROWS,
+    EPS_DYN,
+    MAX_GRID_POINTS,
+    DynamicsTrace,
+    _grid_blocks,
+)
 
-from conftest import alloc, make_params, random_instance
+from conftest import alloc, make_params, random_instance, simplex_grid
+
+
+def per_point_grid_minimax(params, resolution):
+    """grid_minimax one grid point at a time through the public path.
+
+    Returns (value, jam, tx, index of the winning point, number of points).
+    """
+    best = (math.inf, None, None, -1)
+    n_points = 0
+    for index, jam in enumerate(simplex_grid(params.j_budget, params.m, resolution)):
+        tx, _ = tx_best_response(params, alloc(jam, params.j_budget))
+        inner = float(utility_batch(params, tx.powers, jam)[0])
+        n_points += 1
+        if inner < best[0]:
+            best = (inner, jam, tx.powers, index)
+    return (*best, n_points)
 
 
 class TestGridSpec:
     def test_point_count_matches_enumeration(self):
-        for resolution, m in [(5, 2), (7, 3), (4, 4), (11, 1)]:
+        # (41, 3) and (1200, 2) span more than one block
+        for resolution, m in [(5, 2), (7, 3), (4, 4), (11, 1), (2, 5), (41, 3), (1200, 2)]:
+            steps = resolution - 1
             spec = GridSpec(resolution=resolution, m=m)
-            points = list(_compositions(resolution - 1, m))
+            blocks = list(_grid_blocks(steps, m))
+            assert all(0 < len(block) <= _GRID_BLOCK_ROWS for block in blocks)
+            points = np.vstack(blocks)
             assert spec.n_points == len(points)
-            # lexicographic order, no duplicates
-            assert points == sorted(set(points))
+            # lexicographic order, no duplicates: the same sequence as the
+            # independent enumeration (unit spacing keeps the points integers)
+            reference = np.array(list(simplex_grid(float(steps), m, resolution)))
+            np.testing.assert_array_equal(points, reference)
+
+    @pytest.mark.parametrize("resolution, m", [(2, 1), (9, 2), (41, 3), (13, 4)])
+    def test_grid_points_feasible_by_construction(self, resolution, m):
+        # the claim that lets grid_minimax skip require_feasible per point
+        rng = np.random.default_rng(resolution * 10 + m)
+        for j_budget in rng.uniform(0.01, 100.0, size=5):
+            spacing = j_budget / (resolution - 1)
+            for block in _grid_blocks(resolution - 1, m):
+                jam = block * spacing
+                assert np.all(jam >= 0.0)
+                sums = jam.sum(axis=1)
+                assert np.all(np.abs(sums - j_budget) <= BUDGET_RTOL * j_budget)
 
     def test_rejects_resolution_below_two(self):
         with pytest.raises(ValueError):
@@ -96,6 +138,50 @@ class TestGridMinimax:
         b = grid_minimax(symmetric2, spec)
         assert a.value == b.value
         np.testing.assert_array_equal(a.jam, b.jam)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_bit_identical_to_per_point_reference(self, m):
+        rng = np.random.default_rng(31 + m)
+        for _ in range(6):
+            params = make_params(
+                noise=rng.uniform(0.3, 8.0, size=m),
+                t_budget=float(rng.uniform(0.2, 6.0)),
+                j_budget=float(rng.uniform(0.2, 6.0)),
+                alpha_t=float(rng.uniform(0.4, 2.5)),
+                alpha_j=float(rng.uniform(0.4, 2.5)),
+            )
+            resolution = int(rng.integers(2, {1: 300, 2: 300, 3: 40, 4: 14}[m]))
+            self._assert_matches_reference(params, resolution)
+
+    @pytest.mark.parametrize(
+        "noise, t_budget, j_budget, resolution",
+        [([2.0, 2.0], 2.0, 2.0, 3), ([1.0, 1.0, 1.0], 3.0, 3.0, 4),
+         ([1.0] * 4, 1.0, 2.0, 5), ([3.0, 3.0, 3.0], 1.0, 1.0, 2),
+         # the two tied minimizers (511, 512) and (512, 511) sit in
+         # different blocks; the first block must keep its point
+         ([1.0, 1.0], 2.0, 1.0, 1024)],
+    )
+    def test_equal_noise_ties_match_reference(self, noise, t_budget, j_budget, resolution):
+        self._assert_matches_reference(make_params(noise, t_budget, j_budget), resolution)
+
+    def test_minimum_beyond_first_block_matches_reference(self):
+        # the jammer piles onto the quiet first channel, so the grid optimum
+        # sits late in lexicographic order, past the first block
+        params = make_params([0.5, 3.0, 3.0], 2.0, 3.0)
+        resolution = 41
+        assert GridSpec(resolution=resolution, m=3).n_points > _GRID_BLOCK_ROWS
+        index = self._assert_matches_reference(params, resolution)
+        assert index >= _GRID_BLOCK_ROWS
+
+    @staticmethod
+    def _assert_matches_reference(params, resolution) -> int:
+        value, jam, tx, index, n_points = per_point_grid_minimax(params, resolution)
+        result = grid_minimax(params, GridSpec(resolution=resolution, m=params.m))
+        assert result.value == value
+        assert result.jam.tobytes() == jam.tobytes()
+        assert result.tx.tobytes() == tx.tobytes()
+        assert result.n_points == n_points
+        return index
 
     def test_dimension_mismatch_rejected(self, symmetric2):
         with pytest.raises(ValueError):
@@ -217,16 +303,34 @@ class TestRunDynamics:
         with pytest.raises(ValueError):
             run_dynamics(symmetric2, start=(np.zeros(3), np.zeros(2)))
 
+    @pytest.mark.parametrize("damping", [1.0, 0.5])
+    def test_rejects_infeasible_start_as_given(self, damping):
+        # undamped alternating dynamics never score the start transmitter,
+        # and damped ones only see its mix with a best response (46 off)
+        params = make_params([1.0, 3.0], 2.0, 1.0)
+        start = ([-5.0, 99.0], [0.5, 0.5])
+        with pytest.raises(ValueError) as info:
+            run_dynamics(params, damping=damping, start=start, alternating=True)
+        message = str(info.value)
+        assert message.startswith("start tx allocation invalid")
+        assert "negative entries at [0]" in message
+        assert "power sum off budget by 92" in message
+
+    def test_rejects_infeasible_start_jam(self, symmetric2):
+        with pytest.raises(ValueError, match=r"start jam allocation invalid: power sum off"):
+            run_dynamics(symmetric2, start=([1.0, 1.0], [0.5, 0.6]))
+
     def test_rejects_nonpositive_max_iters(self, symmetric2):
         with pytest.raises(ValueError):
             run_dynamics(symmetric2, max_iters=0)
 
 
 class TestFeasibilityCheckedOnce:
-    def test_grid_minimax_checks_each_point_once(self, asym3, feasibility_checks):
-        result = grid_minimax(asym3, GridSpec(resolution=21, m=3))
-        assert len(feasibility_checks) == result.n_points
-        assert set(feasibility_checks) == {"jam"}
+    def test_grid_minimax_checks_no_grid_point(self, asym3, feasibility_checks):
+        # grid points are built by the library and feasible by construction
+        # (TestGridSpec::test_grid_points_feasible_by_construction)
+        grid_minimax(asym3, GridSpec(resolution=21, m=3))
+        assert feasibility_checks == []
 
     @pytest.mark.parametrize("alternating", [False, True])
     def test_run_dynamics_checks_at_most_two_per_step(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jamgame.waterfill import EPS_SOLVE, level_for_fills, water_fill
+from jamgame.waterfill import EPS_SOLVE, _fill_rows, level_for_fills, water_fill
 
 from conftest import simplex_grid
 
@@ -165,6 +165,38 @@ class TestWaterFill:
         ws = water_fill(floors, budget)
         level = _bisect_level(floors, budget)
         assert ws.level == pytest.approx(level, rel=1e-9, abs=1e-9)
+
+
+class TestFillRows:
+    @pytest.mark.parametrize("budget", [0.0, 1e-300, 1e-15, 0.3, 1.0, 2.0, 7.5, 1e6])
+    def test_each_row_is_water_fill_bit_for_bit(self, budget):
+        rng = np.random.default_rng(41)
+        rows = [
+            [1.0, 1.0, 1.0],  # unit floors: 1e-300 is below their resolution
+            [0.1, 0.1, 0.1],  # rounded mean of tied floors lands above them
+            [2.0, 0.5, 2.0],  # ties among the higher floors
+            [3.0, 1.0, 2.0],
+            [0.0, 0.0, 4.0],
+            [5.0, 5.0, 0.0],
+            *np.round(rng.uniform(0.0, 6.0, size=(10, 3)), 1),
+            *rng.uniform(0.0, 6.0, size=(10, 3)),
+        ]
+        floors = np.array(rows)
+        levels, fills = _fill_rows(floors, budget)
+        assert levels.shape == (len(rows),)
+        assert fills.shape == floors.shape
+        for row, level, row_fills in zip(floors, levels, fills):
+            ws = water_fill(row, budget)
+            assert level == ws.level
+            assert row_fills.tobytes() == ws.fills.tobytes()
+
+    def test_zero_budget_pours_nothing_on_tied_floors(self):
+        # (0.1 + 0.1 + 0.1) / 3 rounds one ulp above 0.1, which the level
+        # test alone would accept as a level holding water
+        levels, fills = _fill_rows(np.array([[0.1, 0.1, 0.1]]), 0.0)
+        assert levels[0] == 0.1
+        np.testing.assert_array_equal(fills, 0.0)
+        assert water_fill([0.1, 0.1, 0.1], 0.0).active == ()
 
 
 class TestLevelForFills:
