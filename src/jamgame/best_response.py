@@ -9,13 +9,18 @@ response to a fixed transmitter allocation comes from the stationarity system
     lambda_k * J_k = 0,   lambda_k >= 0,  J_k >= 0,              (slackness)
 
 where u is the multiplier on sum J_k = J.  On channels where the jammer is
-active the quadratic in J_k solves in closed form; the budget then pins u by
-a one-dimensional bisection on the strictly decreasing map u -> sum_k J_k(u).
+active the quadratic in J_k solves in closed form; the budget then pins u on
+the strictly decreasing map u -> sum_k J_k(u).  This is the non-linear
+counterpart of the transmitter's water-fill, and it is solved the same way
+(Palomar & Fonollosa, IEEE TSP 2005): a binary search over the channels'
+sorted breakpoints fixes the active set, and a safeguarded Newton step in
+1/u finishes inside it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,8 +110,10 @@ def jam_closed_form(params: GameParams, tx: Allocation, u: float) -> np.ndarray:
 
     Channels with T_k = 0 get J_k = 0: jamming there burns budget without
     touching the payoff, and the bracket above would be negative anyway.
-    The sqrt difference is evaluated in the cancellation-free form
-    s / (sqrt(a^2 + s) + a) to stay accurate when u is large.
+    With a = alpha_t*T_k and r = sqrt(2*alpha_j*a/u), the sqrt difference is
+    evaluated as r * r / (hypot(a, r) + a): free of cancellation when u is
+    large, and, with r a product of square roots, neither a^2 nor r^2 is
+    ever formed, so no magnitude the bracket can hold overflows on the way.
     """
     u = float(u)
     if not math.isfinite(u) or u <= 0.0:
@@ -116,52 +123,109 @@ def jam_closed_form(params: GameParams, tx: Allocation, u: float) -> np.ndarray:
     if not np.any(mask):
         return powers
     a = params.alpha_t * tx.powers[mask]
-    s = 2.0 * params.alpha_j * a / u
-    # sqrt(a^2 + s) - a, rewritten to avoid subtracting near-equal terms.
-    root_gap = s / (np.sqrt(a * a + s) + a)
+    r = np.sqrt(a) * (math.sqrt(2.0 * params.alpha_j) / math.sqrt(u))
+    # sqrt(a^2 + r^2) - a, rewritten to avoid subtracting near-equal terms.
+    root_gap = r * (r / (np.hypot(a, r) + a))
     bracket = root_gap - 2.0 * params.noise[mask]
     powers[mask] = np.maximum(bracket, 0.0) / (2.0 * params.alpha_j)
     return powers
 
 
-def _solve_budget_multiplier(params: GameParams, tx: Allocation) -> float:
-    """Find u > 0 with sum_k jam_closed_form(u) = j_budget by bisection.
+def _solve_budget_multiplier(
+    params: GameParams, tx: Allocation
+) -> tuple[float, np.ndarray]:
+    """Find u > 0 with sum_k jam_closed_form(u) = j_budget; return u and the powers.
 
-    The total is continuous and strictly decreasing in u on the region where
-    it is positive, diverging as u -> 0+ and vanishing for large u, so a
-    bracket always exists and bisection cannot fail.
+    With a_k = alpha_t*T_k and c_k = 2*(alpha_j*J + N_k), channel k is jammed
+    iff u is below its breakpoint u_k, and would absorb the whole budget J
+    alone at its single-channel solution s_k:
+
+        u_k = alpha_j*a_k / (2*N_k*(a_k + N_k)),
+        s_k = 2*alpha_j*a_k / (c_k*(c_k + 2*a_k)).
+
+    The total is continuous and strictly decreasing in u where positive, and
+    u >= max_k s_k, since no channel alone absorbs more than J above it.  A
+    binary search over the breakpoints above that bound, in descending order
+    and with one total per probe, finds the active set: the n channels with
+    the largest u_k.  A lone active channel takes all of J at u = s_k.  With
+    more, u lies between the n-th breakpoint and the next lower bound, and
+    in x = 1/u each active J_k is concave and increasing, with
+
+        dJ_k/dx = 1/(2*sqrt(1 + 2*alpha_j*x/a_k))
+                = a_k / (2*(a_k + 2*N_k + 2*alpha_j*J_k)),
+
+    so Newton steps from the n-th breakpoint, where the total falls short of
+    J, climb to the root from below.  A step that leaves the bracket through
+    rounding is replaced by bisection.  The search stops once the total is
+    within EPS_SOLVE*J of J.  Every probe sits at or above the lower bound,
+    where no channel holds more than J, so no total overflows.  A multiplier
+    below the normal float range raises ValueError.
     """
     target = params.j_budget
+    alpha_j = params.alpha_j
+    chans = np.flatnonzero(tx.powers > 0.0)
+    a = params.alpha_t * tx.powers[chans]
+    noise = params.noise[chans]
+    c = 2.0 * (alpha_j * target + noise)
+    # Ordered so that no intermediate is subnormal while the result is
+    # normal.  c/a or N/a overflowing to inf gives the exact limit 0.
+    with np.errstate(over="ignore"):
+        single = (2.0 * alpha_j / c) / (c / a + 2.0)
+        breaks = (alpha_j / (2.0 * noise)) / (1.0 + noise / a)
+    u_bottom = float(single.max())
+    if not u_bottom >= sys.float_info.min:
+        raise ValueError(
+            f"jammer budget multiplier is below the float range: its lower "
+            f"bound {u_bottom:.6g} is not a normal float"
+        )
+    cands = np.sort(breaks[breaks > u_bottom])[::-1]
 
-    def total(u: float) -> float:
-        return float(jam_closed_form(params, tx, u).sum())
-
-    lo = hi = 1.0
-    for _ in range(1200):
-        if total(lo) > target:
-            break
-        lo *= 0.5
-    else:
-        raise RuntimeError("failed to bracket the jammer multiplier from below")
-    for _ in range(1200):
-        if total(hi) < target:
-            break
-        hi *= 2.0
-    else:
-        raise RuntimeError("failed to bracket the jammer multiplier from above")
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        gap = total(mid) - target
-        if abs(gap) <= EPS_SOLVE * max(1.0, target):
-            return mid
-        if gap > 0.0:
-            lo = mid
+    # total(cands[lo - 1]) < J <= total(cands[hi - 1]); hi = cands.size + 1
+    # stands for u_bottom.
+    lo, hi = 1, cands.size + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        u = float(cands[mid - 1])
+        powers = jam_closed_form(params, tx, u)
+        total = float(powers.sum())
+        if total < target:
+            lo, top = mid, (u, powers, total)
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+
+    if lo == 1:
+        lone = int(np.argmax(breaks))
+        powers = np.zeros(params.m)
+        powers[chans[lone]] = target
+        return float(single[lone]), powers
+
+    if hi <= cands.size:
+        u_bottom = float(cands[hi - 1])
+    on = breaks >= top[0]
+    active = chans[on]
+    a_act = a[on]
+    floor_act = a_act + 2.0 * noise[on]
+    tol = EPS_SOLVE * target
+    u, powers, total = top
+    x_lo, x_hi = 1.0 / u, 1.0 / u_bottom
+    for _ in range(200):
+        if abs(total - target) <= tol:
+            break
+        heights = floor_act + 2.0 * alpha_j * powers[active]
+        slope = float(np.sum(a_act / (2.0 * heights)))
+        x = 1.0 / u + ((target - total) / slope if slope > 0.0 else math.inf)
+        if not x_lo < x < x_hi:
+            x = 0.5 * (x_lo + x_hi)
+            if not x_lo < x < x_hi:
+                break
+        u = 1.0 / x
+        powers = jam_closed_form(params, tx, u)
+        total = float(powers.sum())
+        if total < target:
+            x_lo = x
+        else:
+            x_hi = x
+    return u, powers
 
 
 def jam_best_response(
@@ -190,10 +254,9 @@ def jam_best_response(
 
     require_feasible(tx, params.t_budget, params.m, "tx")
 
-    u = _solve_budget_multiplier(params, tx)
-    powers = jam_closed_form(params, tx, u)
-    # Exact budget match: bisection leaves a residual of at most a few ulps,
-    # which the feasibility gate downstream would still flag.
+    u, powers = _solve_budget_multiplier(params, tx)
+    # Exact budget match: the search leaves a relative residual of up to
+    # EPS_SOLVE, scaled away here.
     total = powers.sum()
     if total > 0.0:
         powers = powers * (params.j_budget / total)

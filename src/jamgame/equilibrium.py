@@ -21,6 +21,7 @@ random unilateral deviations.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,6 +96,28 @@ def classify_regimes(noise: np.ndarray, v: float, w: float) -> tuple[RegimeLabel
     return tuple(labels)
 
 
+def _multiplier(alpha_j: float, v: float, w: float) -> float:
+    """u = alpha_j*(v - w) / (2*v*w), with v and w first scaled by 2^-e.
+
+    e is the mean of their binary exponents, so that 2*v*w neither overflows
+    nor underflows.  Scaling by a power of two is exact, so for levels of
+    moderate size the result is the plain formula's float, bit for bit.  A
+    multiplier outside the float range raises ValueError.
+    """
+    e = (math.frexp(v)[1] + math.frexp(w)[1]) // 2
+    vs, ws = math.ldexp(v, -e), math.ldexp(w, -e)
+    try:
+        u = math.ldexp(alpha_j * (vs - ws) / (2.0 * vs * ws), -e)
+    except OverflowError:
+        u = math.inf
+    if not 0.0 < u < math.inf:
+        raise ValueError(
+            f"jammer multiplier u for the levels v = {v:.6g}, w = {w:.6g} "
+            "is outside the float range"
+        )
+    return u
+
+
 def solve_nash(params: GameParams) -> NashSolution:
     """Compute the unique Nash equilibrium of the game.
 
@@ -122,7 +145,7 @@ def solve_nash(params: GameParams) -> NashSolution:
             f"the floors max(N_k, w) it is poured over (jammer level w = {w:.6g})"
         )
 
-    u = params.alpha_j * (v - w) / (2.0 * v * w)
+    u = _multiplier(params.alpha_j, v, w)
     tx = Allocation(powers=tx_ws.fills / params.alpha_t, budget=params.t_budget)
     jam = Allocation(powers=jam_ws.fills / params.alpha_j, budget=params.j_budget)
     return NashSolution(
@@ -289,7 +312,7 @@ def verify_nash(
 
     w_back = sol.v * params.alpha_j / (params.alpha_j + 2.0 * sol.u * sol.v)
     level_gap = abs(w_back - sol.w)
-    u_back = params.alpha_j * (sol.v - sol.w) / (2.0 * sol.v * sol.w)
+    u_back = _multiplier(params.alpha_j, sol.v, sol.w)
     multiplier_gap = abs(u_back - sol.u)
 
     ok = (

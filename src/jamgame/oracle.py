@@ -209,7 +209,9 @@ def run_dynamics(
     update within the same step.  Iteration stops when the largest change in
     any power entry falls below EPS_STEP (then ``converged`` is True) or after
     ``max_iters`` steps.  ``start`` defaults to uniform allocations; a
-    caller's start is checked once, on entry, with require_feasible.
+    caller's start is checked once, on entry, with require_feasible.  The
+    reference equilibrium is solved before the first step, so a game that
+    solve_nash rejects fails with its error before any iterate is built.
 
     The successive-change threshold is deliberately tighter than EPS_DYN:
     with damping around 0.5 the residual distance to the fixed point is a
@@ -220,6 +222,7 @@ def run_dynamics(
         raise ValueError("damping must lie in (0, 1]")
     if max_iters < 1:
         raise ValueError("max_iters must be positive")
+    reference = solve_nash(params)
 
     if start is None:
         tx_powers = np.full(params.m, params.t_budget / params.m)
@@ -262,7 +265,6 @@ def run_dynamics(
             converged = True
             break
 
-    reference = solve_nash(params)
     final_distance = max(
         float(np.max(np.abs(tx_powers - reference.tx.powers))),
         float(np.max(np.abs(jam_powers - reference.jam.powers))),

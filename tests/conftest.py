@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from jamgame import Allocation, ChannelSet, GameParams
+from jamgame.best_response import jam_closed_form
 from jamgame.core import require_feasible
 
 
@@ -75,6 +76,16 @@ def single1() -> GameParams:
     return make_params([1.0], 1.0, 1.0)
 
 
+def _patch_everywhere(monkeypatch, name: str, original, replacement) -> None:
+    """Replace ``original`` by ``replacement`` at every jamgame module that
+    binds it under ``name``."""
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.split(".")[0] != "jamgame":
+            continue
+        if vars(module).get(name) is original:
+            monkeypatch.setattr(module, name, replacement)
+
+
 @pytest.fixture
 def feasibility_checks(monkeypatch):
     """Record the ``who`` of every require_feasible call, at every jamgame
@@ -85,9 +96,19 @@ def feasibility_checks(monkeypatch):
         calls.append(who)
         return require_feasible(alloc, budget, m, who)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] != "jamgame":
-            continue
-        if vars(module).get("require_feasible") is require_feasible:
-            monkeypatch.setattr(module, "require_feasible", counting)
+    _patch_everywhere(monkeypatch, "require_feasible", require_feasible, counting)
+    return calls
+
+
+@pytest.fixture
+def closed_form_calls(monkeypatch):
+    """Record the multiplier u of every jam_closed_form call, at every
+    jamgame module that binds it."""
+    calls = []
+
+    def counting(params, tx, u):
+        calls.append(u)
+        return jam_closed_form(params, tx, u)
+
+    _patch_everywhere(monkeypatch, "jam_closed_form", jam_closed_form, counting)
     return calls

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,9 +17,68 @@ from jamgame import (
     utility_batch,
 )
 from jamgame.best_response import EPS_KKT, EPS_OPT, jam_closed_form
+from jamgame.core import require_feasible
 from jamgame.waterfill import EPS_SOLVE
 
 from conftest import alloc, make_params, random_instance, simplex_grid
+
+
+def _bisect_multiplier(params, tx) -> float:
+    """Doubling-and-bisection search for the jammer budget multiplier.
+
+    Halves u until the closed-form total exceeds the budget, doubles it until
+    the total falls short, then bisects to |total - J| <= EPS_SOLVE*max(1, J).
+    The reference the breakpoint search is checked against.
+    """
+    target = params.j_budget
+
+    def total(u: float) -> float:
+        return float(jam_closed_form(params, tx, u).sum())
+
+    lo = hi = 1.0
+    while total(lo) <= target:
+        lo *= 0.5
+    while total(hi) >= target:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        gap = total(mid) - target
+        if abs(gap) <= EPS_SOLVE * max(1.0, target):
+            return mid
+        if gap > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _kkt_violation_in_units_of_u(params, tx, jam, u: float) -> float:
+    """Largest jammer KKT violation, as a fraction of u, recomputed in logs.
+
+    lambda_k / u = 1 - (alpha_j/2) * a_k / (b_k*(a_k + b_k)) / u, with
+    a_k = alpha_t*T_k and b_k = alpha_j*J_k + N_k.  It must vanish on jammed
+    channels and be nonnegative on the others.  Logs keep every magnitude
+    from 1e-300 to 1e300 exact to rounding, where kkt_report's difference of
+    reciprocals cancels once a_k is far below b_k.
+    """
+    worst = 0.0
+    for t, j, n in zip(tx.powers, jam.powers, params.noise):
+        a = params.alpha_t * float(t)
+        b = params.alpha_j * float(j) + float(n)
+        ratio = 0.0
+        if a > 0.0:
+            ratio = math.exp(
+                math.log(0.5 * params.alpha_j) + math.log(a) - math.log(b)
+                - math.log(a + b) - math.log(u)
+            )
+        lam = 1.0 - ratio
+        worst = max(worst, abs(lam) if j > 0.0 else -lam)
+    return worst
+
+
+magnitudes = st.floats(min_value=-150.0, max_value=150.0).map(lambda e: 10.0**e)
 
 
 class TestTxBestResponse:
@@ -214,6 +274,90 @@ class TestJamBestResponse:
     def test_rejects_infeasible_tx(self, symmetric2):
         with pytest.raises(ValueError):
             jam_best_response(symmetric2, alloc([1.0, 0.5], 2.0))
+
+
+class TestMultiplierSearch:
+    def test_agrees_with_bisection(self):
+        rng = np.random.default_rng(53)
+        for m in (1, 2, 3, 5, 8, 64, 512, 4096):
+            for trial in range(4):
+                params = make_params(
+                    noise=rng.uniform(0.5, 8.0, size=m),
+                    t_budget=float(rng.uniform(0.5, 3.0)) * m,
+                    j_budget=float(rng.uniform(0.2, 3.0)) * m,
+                    alpha_t=float(rng.uniform(0.5, 2.0)),
+                    alpha_j=float(rng.uniform(0.5, 2.0)),
+                )
+                powers = sample_simplex(rng, 1, m, params.t_budget)[0]
+                if m > 1 and trial % 2:
+                    # idle transmitter channels: the jammer must skip them
+                    powers[rng.random(m) < 0.3] = 0.0
+                    powers[0] = max(powers[0], 1.0)
+                    powers *= params.t_budget / powers.sum()
+                tx = alloc(powers, params.t_budget)
+                _, state = jam_best_response(params, tx)
+                u_ref = _bisect_multiplier(params, tx)
+                assert abs(state.u - u_ref) <= 1e-11 * u_ref, (m, trial)
+
+    def test_one_active_channel_is_exact(self, symmetric2):
+        # c = 2*(J + N) = 4 and a = 2 give u = 2*2 / (4*(4 + 4)) = 1/8
+        tx = alloc([2.0, 0.0], 2.0)
+        jam, state = jam_best_response(symmetric2, tx)
+        assert state.u == 0.125
+        assert jam.powers.tolist() == [1.0, 0.0]
+        assert state.lambdas.tolist() == [0.0, 0.125]
+        assert kkt_report(symmetric2, tx, jam, state).stationarity == 0.0
+
+    @pytest.mark.parametrize(
+        "params, tx",
+        [
+            (make_params([1.0, 2.0], 1e-300, 1.0), alloc([5e-301, 5e-301], 1e-300)),
+            (make_params([1.0, 2.0], 1.0, 1e-300), alloc([0.5, 0.5], 1.0)),
+        ],
+        ids=["t_budget-1e-300", "j_budget-1e-300"],
+    )
+    def test_tiny_budget_gets_a_certified_response(self, params, tx):
+        jam, state = jam_best_response(params, tx)
+        require_feasible(jam, params.j_budget, params.m, "jam")
+        assert kkt_report(params, tx, jam, state).ok()
+        with np.errstate(all="raise"):
+            jam_closed_form(params, tx, state.u)
+
+    @pytest.mark.parametrize("m", [2, 64, 1024, 65536])
+    def test_few_closed_form_evaluations(self, m, closed_form_calls):
+        rng = np.random.default_rng(m)
+        params = make_params(rng.uniform(0.5, 8.0, size=m), 2.0 * m, float(m))
+        for _ in range(3 if m < 65536 else 1):
+            tx = alloc(sample_simplex(rng, 1, m, params.t_budget)[0], params.t_budget)
+            closed_form_calls.clear()
+            jam_best_response(params, tx)
+            assert len(closed_form_calls) <= 24
+
+    @given(
+        noise=st.lists(magnitudes, min_size=1, max_size=6),
+        t_budget=magnitudes,
+        j_budget=magnitudes,
+        alpha_t=magnitudes,
+        alpha_j=magnitudes,
+        weights=st.lists(st.integers(0, 9), min_size=6, max_size=6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_total_over_extreme_magnitudes(
+        self, noise, t_budget, j_budget, alpha_t, alpha_j, weights
+    ):
+        # An answer, certified in units of u, or a typed error; never a warning.
+        params = make_params(noise, t_budget, j_budget, alpha_t, alpha_j)
+        split = np.array(weights[: params.m], dtype=float)
+        split[0] += split.sum() == 0.0
+        tx = alloc(split / split.sum() * t_budget, t_budget)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                jam, state = jam_best_response(params, tx)
+            except ValueError:
+                return
+        require_feasible(jam, j_budget, params.m, "jam")
+        assert _kkt_violation_in_units_of_u(params, tx, jam, state.u) <= EPS_KKT
 
 
 class TestGradient:

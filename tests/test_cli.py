@@ -225,6 +225,16 @@ class TestNashCommand:
         assert err.startswith("error: t_budget 1e-300 is below the float resolution")
         assert err.count("\n") == 1
 
+    def test_huge_budgets_verify(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path, t_budget=1e300, j_budget=1e300, channels=[1.0, 2.0]
+        )
+        code, out, _ = run_cli(capsys, "nash", "--config", path, "--verify")
+        assert code == 0
+        record = json.loads(out)
+        assert record["solution"]["u"] == 5e-301
+        assert record["verification"]["ok"] is True
+
     def test_exit_3_on_verification_failure(self, tmp_path, capsys, monkeypatch):
         # force the verifier to report failure; the record is still emitted
         import jamgame.cli as cli_module
@@ -412,6 +422,13 @@ class TestDynamicsCommand:
         )
         assert code == 3
         assert json.loads(out)["converged"] is False
+
+    @pytest.mark.parametrize("budget", ["t_budget", "j_budget"])
+    def test_budget_below_float_resolution_exits_2(self, tmp_path, capsys, budget):
+        path = write_config(tmp_path, channels=[1.0, 2.0], **{budget: 1e-300})
+        code, out, err = run_cli(capsys, "dynamics", "--config", path)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {budget} 1e-300 is below the float resolution")
 
     def test_deterministic_per_seed(self, tmp_path, capsys):
         args = ("dynamics", "--config", write_config(tmp_path), "--seed", "3")

@@ -15,7 +15,7 @@ from jamgame import (
     verify_nash,
     water_fill,
 )
-from jamgame.equilibrium import NashSolution, classify_regimes
+from jamgame.equilibrium import NashSolution, _multiplier, classify_regimes
 from jamgame.waterfill import EPS_SOLVE
 
 from conftest import alloc, make_params, random_instance
@@ -152,6 +152,29 @@ class TestSolveNash:
         with pytest.raises(ValueError, match="below the float resolution") as info:
             solve_nash(params)
         assert str(info.value).startswith(named)
+
+    def test_huge_budgets_keep_the_multiplier(self):
+        # 2*v*w overflows here; the multiplier itself is an ordinary float
+        params = make_params([1.0, 2.0], 1e300, 1e300)
+        sol = solve_nash(params)
+        assert sol.u == pytest.approx(5e-301, rel=1e-12)
+        assert verify_nash(params, sol).ok
+
+
+class TestMultiplier:
+    def test_bit_for_bit_with_plain_formula(self):
+        rng = np.random.default_rng(59)
+        for _ in range(2000):
+            w = float(10.0 ** rng.uniform(-100.0, 100.0))
+            v = w * float(1.0 + 10.0 ** rng.uniform(-12.0, 6.0))
+            alpha_j = float(10.0 ** rng.uniform(-3.0, 3.0))
+            plain = alpha_j * (v - w) / (2.0 * v * w)
+            assert _multiplier(alpha_j, v, w) == plain
+
+    @pytest.mark.parametrize("v, w", [(1e300, 1e-300), (2.0, 1e-320)])
+    def test_out_of_range_multiplier_rejected(self, v, w):
+        with pytest.raises(ValueError, match="outside the float range"):
+            _multiplier(1e10, v, w)
 
 
 class TestClassifyRegimes:
