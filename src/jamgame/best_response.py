@@ -90,13 +90,14 @@ def jam_rate_gradient(params: GameParams, tx_powers, jam_powers) -> np.ndarray:
     """Gradient of the rate with respect to the jammer powers.
 
     d/dJ_k of (1/2) ln(1 + alpha_t*T_k / (alpha_j*J_k + N_k)), elementwise:
-    always nonpositive, and zero exactly where T_k = 0.
+    always nonpositive, and zero exactly where T_k = 0.  With a = alpha_t*T_k
+    and b = alpha_j*J_k + N_k it is -(alpha_j/2) * (a/(a + b)) / b, the
+    difference 1/(a + b) - 1/b without the cancellation that makes it 0 when
+    a is far below b.
     """
-    tx = np.asarray(tx_powers, dtype=float)
-    jam = np.asarray(jam_powers, dtype=float)
-    base = params.alpha_j * jam + params.noise
-    top = params.alpha_t * tx + base
-    return 0.5 * params.alpha_j * (1.0 / top - 1.0 / base)
+    a = params.alpha_t * np.asarray(tx_powers, dtype=float)
+    base = params.alpha_j * np.asarray(jam_powers, dtype=float) + params.noise
+    return -0.5 * params.alpha_j * ((a / (a + base)) / base)
 
 
 def jam_closed_form(params: GameParams, tx: Allocation, u: float) -> np.ndarray:

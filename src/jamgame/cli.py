@@ -4,11 +4,16 @@ Reads a flat JSON config describing the game, runs the requested solver or
 checker, and emits JSON, CSV, or a plain table.  All numbers are serialized
 with 12 significant digits so identical inputs produce byte-identical output.
 Exit codes: 0 success, 2 input error, 3 verification failure.
+
+``main(argv)`` may be called any number of times in one process.  It builds
+the argument parser once, on its first call, and finds each subcommand's
+``cmd_*`` handler by name when the call runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -541,7 +546,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # entry points
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused after it."""
     parser = argparse.ArgumentParser(
         prog="jamgame",
         description="Solvers for the transmitter-vs-jammer power allocation game.",
@@ -555,7 +562,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_nash = sub.add_parser("nash", parents=[common], help="solve for the Nash equilibrium")
     p_nash.add_argument("--format", choices=("json", "table", "csv"), default="json")
-    p_nash.set_defaults(func=cmd_nash)
 
     p_br = sub.add_parser(
         "best-response", parents=[common], help="best response to a fixed opponent allocation"
@@ -567,14 +573,12 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="opponent allocation as comma-separated powers, e.g. 1,0",
     )
-    p_br.set_defaults(func=cmd_best_response)
 
     p_oracle = sub.add_parser(
         "oracle", parents=[common], help="brute-force minimax check of the equilibrium value"
     )
     p_oracle.add_argument("--format", choices=("json", "table"), default="json")
     p_oracle.add_argument("--resolution", type=int, default=101)
-    p_oracle.set_defaults(func=cmd_oracle)
 
     p_dyn = sub.add_parser(
         "dynamics", parents=[common], help="damped best-response dynamics from a seeded start"
@@ -584,7 +588,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dyn.add_argument("--seed", type=int, default=0)
     p_dyn.add_argument("--max-iters", type=int, default=10_000)
     p_dyn.add_argument("--alternating", action="store_true")
-    p_dyn.set_defaults(func=cmd_dynamics)
 
     p_sweep = sub.add_parser(
         "sweep", parents=[common], help="solve across a swept parameter, one CSV row per step"
@@ -598,16 +601,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--from", dest="from_", type=float, required=True)
     p_sweep.add_argument("--to", type=float, required=True)
     p_sweep.add_argument("--steps", type=int, required=True)
-    p_sweep.set_defaults(func=cmd_sweep)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    # Look the handler up by name at call time: the cached parser holds no
+    # function, so a rebinding of cmd_* in this module takes effect.
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -66,6 +66,12 @@ class RegimeLabel(enum.Enum):
     CONTESTED = "Contested"
 
 
+#: classify_regimes' integer codes 0, 1, 2 -> labels.
+_REGIME_BY_CODE = np.array(
+    [RegimeLabel.UNUSED, RegimeLabel.TX_ONLY, RegimeLabel.CONTESTED], dtype=object
+)
+
+
 @dataclass(frozen=True, eq=False)
 class NashSolution:
     """Equilibrium allocations with the levels and multiplier behind them.
@@ -84,16 +90,11 @@ class NashSolution:
 
 
 def classify_regimes(noise: np.ndarray, v: float, w: float) -> tuple[RegimeLabel, ...]:
-    """Label every channel from its noise and the two water levels v > w."""
-    labels = []
-    for n in noise:
-        if n >= v:
-            labels.append(RegimeLabel.UNUSED)
-        elif n > w:
-            labels.append(RegimeLabel.TX_ONLY)
-        else:
-            labels.append(RegimeLabel.CONTESTED)
-    return tuple(labels)
+    """Label every channel from its noise and the two water levels v > w:
+    Unused where N_k >= v, TxOnly where w < N_k < v, Contested where N_k <= w."""
+    noise = np.asarray(noise)
+    codes = np.where(noise >= v, 0, np.where(noise > w, 1, 2))
+    return tuple(_REGIME_BY_CODE[codes].tolist())
 
 
 def _multiplier(alpha_j: float, v: float, w: float) -> float:

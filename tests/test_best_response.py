@@ -244,6 +244,16 @@ class TestJamBestResponse:
             report = kkt_report(params, tx, jam, state)
             assert report.ok(EPS_KKT), report
 
+    def test_tiny_tx_power_passes_kkt(self):
+        # alpha_t*T_1 = 1e-26 far below alpha_j*J_1 + N_1 = 2e-10: the rate
+        # gradient there must not cancel to 0
+        params = make_params([1e-10, 1.0], 1e-26, 1e-10)
+        tx = alloc([1e-26, 0.0], 1e-26)
+        jam, state = jam_best_response(params, tx)
+        np.testing.assert_allclose(jam.powers, [1e-10, 0.0], rtol=1e-12)
+        assert state.u == pytest.approx(1.25e-7, rel=1e-12)
+        assert kkt_report(params, tx, jam, state).ok()
+
     def test_lambdas_reported_for_inactive_channels(self, symmetric2):
         jam, state = jam_best_response(symmetric2, alloc([2.0, 0.0], 2.0))
         # channel 2 is idle: its multiplier is still reported, equal to u
@@ -380,6 +390,13 @@ class TestGradient:
                 ) / (2.0 * h)
                 rel = abs(grad[k] - fd) / max(1.0, abs(grad[k]), abs(fd))
                 assert rel <= 1e-6
+
+    def test_no_cancellation_when_tx_is_tiny(self):
+        # exact value -(alpha_j/2) * a / ((a + b) * b), with a = 1e-20, b = 1
+        params = make_params([1.0, 1.0], 1.0, 1.0, alpha_j=3.0)
+        grad = jam_rate_gradient(params, [1e-20, 1.0], [0.0, 0.0])
+        assert grad[0] == pytest.approx(-1.5e-20, rel=1e-15, abs=0.0)
+        assert grad[1] == pytest.approx(-0.75, rel=1e-15)
 
     def test_zero_exactly_where_tx_is_zero(self, asym3):
         grad = jam_rate_gradient(asym3, [2.0, 0.0, 2.0], [0.3, 0.3, 0.4])

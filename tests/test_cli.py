@@ -1,8 +1,13 @@
 """CLI behavior: config validation, record contents, formats, exit codes,
 byte-level determinism, and golden-file comparison."""
 
+import argparse
+import functools
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +22,7 @@ from jamgame import (
     utility,
     verify_nash,
 )
+import jamgame.cli as cli_module
 from jamgame.cli import ConfigError, load_config, main
 from jamgame.core import BUDGET_RTOL
 from jamgame.equilibrium import NashSolution
@@ -42,6 +48,14 @@ GOLDEN_CASES = {
     "best_response_m2_jam.json": ("best-response", "--player", "jam", "--fixed", "2,0"),
     "oracle_m2.json": ("oracle", "--resolution", "21"),
     "dynamics_m2.json": ("dynamics", "--seed", "3", "--max-iters", "40"),
+}
+
+
+#: Every golden file with its arguments, including the two with own tests.
+ALL_GOLDEN_CASES = {
+    **GOLDEN_CASES,
+    "nash_m2.json": ("nash", "--verify"),
+    "sweep_m2.csv": ("sweep", *_SWEEP_J),
 }
 
 
@@ -237,8 +251,6 @@ class TestNashCommand:
 
     def test_exit_3_on_verification_failure(self, tmp_path, capsys, monkeypatch):
         # force the verifier to report failure; the record is still emitted
-        import jamgame.cli as cli_module
-
         def fake_verification(params, sol):
             return {"ok": False, "note": "forced"}
 
@@ -590,3 +602,108 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate", "--config", "x.json"])
         assert excinfo.value.code == 2
+
+
+@pytest.fixture
+def fresh_parser(monkeypatch):
+    """Give main an empty parser cache, so its next call is a first call."""
+    monkeypatch.setattr(
+        cli_module, "_build_parser", functools.cache(cli_module._build_parser.__wrapped__)
+    )
+
+
+class TestParserReuse:
+    """main(argv) called repeatedly in one process, on one cached parser."""
+
+    @pytest.mark.parametrize(
+        "reverse", [False, True], ids=["sorted", "reversed"]
+    )
+    def test_goldens_back_to_back(self, tmp_path, capsys, reverse):
+        path = write_config(tmp_path)
+        for name in sorted(ALL_GOLDEN_CASES, reverse=reverse):
+            command, *rest = ALL_GOLDEN_CASES[name]
+            code, out, _ = run_cli(capsys, command, "--config", path, *rest)
+            assert code == 0, name
+            assert out == (GOLDEN / name).read_text(), name
+
+    def test_no_option_carries_over(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        out_file = tmp_path / "table.txt"
+        code, out, _ = run_cli(
+            capsys, "nash", "--config", path, "--verify", "--format", "table",
+            "--out", str(out_file),
+        )
+        assert code == 0 and out == ""
+        assert out_file.read_text() == (GOLDEN / "nash_m2_table.txt").read_text()
+        code, out, _ = run_cli(capsys, "nash", "--config", path)
+        assert code == 0
+        record = json.loads(out)
+        assert "verification" not in record
+        golden = json.loads((GOLDEN / "nash_m2.json").read_text())
+        del golden["verification"]
+        assert record == golden
+
+    def test_argparse_error_between_calls(self, tmp_path, capsys, fresh_parser):
+        path = write_config(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["nash"])
+        assert excinfo.value.code == 2
+        first_err = capsys.readouterr().err
+        assert "--config" in first_err
+        for _ in range(2):
+            code, out, _ = run_cli(capsys, "nash", "--config", path, "--verify")
+            assert code == 0
+            assert out == (GOLDEN / "nash_m2.json").read_text()
+            with pytest.raises(SystemExit) as excinfo:
+                main(["nash"])
+            assert excinfo.value.code == 2
+            assert capsys.readouterr().err == first_err
+
+    def test_rebound_handler_is_called(self, tmp_path, capsys, monkeypatch):
+        path = write_config(tmp_path)
+        assert run_cli(capsys, "nash", "--config", path)[0] == 0
+        seen = []
+
+        def fake_nash(args):
+            seen.append((args.command, args.format))
+            return 3
+
+        monkeypatch.setattr(cli_module, "cmd_nash", fake_nash)
+        code, out, _ = run_cli(capsys, "nash", "--config", path, "--format", "csv")
+        assert (code, out) == (3, "")
+        assert seen == [("nash", "csv")]
+
+    def test_parser_built_once(self, tmp_path, capsys, monkeypatch, fresh_parser):
+        built = []
+        original_init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            original_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        path = write_config(tmp_path)
+        assert run_cli(capsys, "nash", "--config", path)[0] == 0
+        first = len(built)
+        assert first > 0
+        for argv in (("nash", "--config", path), ("oracle", "--config", path)):
+            assert run_cli(capsys, *argv)[0] == 0
+        assert len(built) == first
+
+    def test_import_builds_no_parser(self):
+        code = (
+            "import argparse\n"
+            "built = []\n"
+            "original_init = argparse.ArgumentParser.__init__\n"
+            "def counting_init(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    original_init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting_init\n"
+            "import jamgame.cli\n"
+            "print(len(built))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli_module.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert result.stdout == "0\n"

@@ -203,6 +203,30 @@ class TestClassifyRegimes:
             assert labels == sol.regimes
             assert all(isinstance(lab, RegimeLabel) for lab in labels)
 
+    def test_matches_scalar_rule_with_ties(self):
+        def scalar(n, v, w):
+            if n >= v:
+                return RegimeLabel.UNUSED
+            if n > w:
+                return RegimeLabel.TX_ONLY
+            return RegimeLabel.CONTESTED
+
+        rng = np.random.default_rng(89)
+        for m in (1, 2, 7, 300):
+            for _ in range(20):
+                w, v = np.sort(rng.uniform(0.1, 10.0, 2))
+                noise = rng.uniform(0.05, 12.0, m)
+                # exact ties with both levels, and values one ulp either side
+                ties = rng.choice(m, size=min(m, 6), replace=False)
+                for i, idx in enumerate(ties):
+                    level = (v, w)[i % 2]
+                    noise[idx] = (level, np.nextafter(level, 0.0), np.nextafter(level, 20.0))[
+                        (i // 2) % 3
+                    ]
+                labels = classify_regimes(noise, float(v), float(w))
+                assert type(labels) is tuple
+                assert labels == tuple(scalar(n, v, w) for n in noise)
+
 
 class TestVerifyNash:
     def test_solver_output_verifies(self):
