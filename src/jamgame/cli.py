@@ -396,8 +396,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             "the grid grows combinatorially beyond that"
         )
     spec = GridSpec(resolution=args.resolution, m=params.m)
-    result = grid_minimax(params, spec)
+    # solve first: a game that solve_nash rejects exits before the grid runs
     sol = solve_nash(params)
+    result = grid_minimax(params, spec)
     gap = result.value - sol.value
     record = {
         "command": "oracle",

@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -65,6 +66,10 @@ class RegimeLabel(enum.Enum):
     TX_ONLY = "TxOnly"
     CONTESTED = "Contested"
 
+
+# Entries (rows times M) per chunk of saddle_probe deviations: one chunk up
+# to M = 128 at verify_nash's 512 deviations, a single row from M = 65 536.
+_PROBE_CHUNK_ENTRIES = 2**16
 
 #: classify_regimes' integer codes 0, 1, 2 -> labels.
 _REGIME_BY_CODE = np.array(
@@ -179,6 +184,16 @@ class SaddleReport:
     ok: bool
 
 
+def _deviation_chunks(
+    rng: np.random.Generator, trials: int, m: int, budget: float
+) -> Iterator[np.ndarray]:
+    """``trials`` uniform simplex points, drawn in (rows, m) chunks of about
+    _PROBE_CHUNK_ENTRIES entries each."""
+    rows = max(1, _PROBE_CHUNK_ENTRIES // m)
+    for start in range(0, trials, rows):
+        yield sample_simplex(rng, min(rows, trials - start), m, budget)
+
+
 def saddle_probe(
     params: GameParams,
     tx: Allocation,
@@ -194,8 +209,11 @@ def saddle_probe(
     transmitter deviations and then ``trials`` jammer deviations from the
     uniform simplex distribution (one shared generator, fixed draw order, so
     a seed pins the entire report bit for bit) and records the worst
-    violation on each side.  Zero trials is vacuous; a negative count raises
-    ValueError.
+    violation on each side.  Deviations are drawn and scored in chunks of
+    about _PROBE_CHUNK_ENTRIES entries, so memory stays O(M); the generator
+    yields the same rows in chunks as in one draw, so the report does not
+    depend on the chunk size.  Zero trials is vacuous; a negative count
+    raises ValueError.
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
@@ -203,14 +221,18 @@ def saddle_probe(
         return SaddleReport(0, seed, tol, 0.0, 0.0, 0, 0, True)
     value = utility(params, tx, jam)
     rng = np.random.default_rng(seed)
-    tx_devs = sample_simplex(rng, trials, params.m, params.t_budget)
-    jam_devs = sample_simplex(rng, trials, params.m, params.j_budget)
-    tx_vals = utility_batch(params, tx_devs, jam.powers)
-    jam_vals = utility_batch(params, tx.powers, jam_devs)
-    tx_excess = float(tx_vals.max() - value)
-    jam_shortfall = float(value - jam_vals.min())
-    tx_violations = int(np.count_nonzero(tx_vals > value + tol))
-    jam_violations = int(np.count_nonzero(jam_vals < value - tol))
+    tx_max, tx_violations = -math.inf, 0
+    for devs in _deviation_chunks(rng, trials, params.m, params.t_budget):
+        tx_vals = utility_batch(params, devs, jam.powers)
+        tx_max = np.maximum(tx_max, tx_vals.max())
+        tx_violations += int(np.count_nonzero(tx_vals > value + tol))
+    jam_min, jam_violations = math.inf, 0
+    for devs in _deviation_chunks(rng, trials, params.m, params.j_budget):
+        jam_vals = utility_batch(params, tx.powers, devs)
+        jam_min = np.minimum(jam_min, jam_vals.min())
+        jam_violations += int(np.count_nonzero(jam_vals < value - tol))
+    tx_excess = float(tx_max - value)
+    jam_shortfall = float(value - jam_min)
     return SaddleReport(
         trials=trials,
         seed=seed,

@@ -4,8 +4,11 @@ Two routes that do not share code with the solver:
 
 * grid_minimax discretizes the jammer simplex and, at every grid point,
   answers with the transmitter's exact best response: one water-fill over
-  the floors alpha_j*J_k + N_k.  The grid is scored in blocks of rows, one
-  row water-fill and one payoff evaluation per block.  Minimizing the inner
+  the floors alpha_j*J_k + N_k.  The grid is enumerated and scored in
+  blocks of rows, all in NumPy with no Python object per point: each block
+  of points is unranked from its lexicographic ranks, then scored with one
+  row water-fill and one payoff evaluation.  Memory stays O(block) for any
+  number of channels.  Minimizing the inner
   maximum over the grid gives an upper bound on the game value that must sit
   within a provable Lipschitz margin of the closed-form value.
 * run_dynamics iterates damped best responses and watches them contract onto
@@ -14,7 +17,6 @@ Two routes that do not share code with the solver:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -83,20 +85,42 @@ class GridSpec:
 def _grid_blocks(steps: int, m: int) -> Iterator[np.ndarray]:
     """All m-vectors of nonnegative ints summing to ``steps``.
 
-    Yielded in lexicographic order as (B, m) blocks of at most
-    _GRID_BLOCK_ROWS rows.  Stars and bars: each choice of m - 1 bar
-    positions among steps + m - 1 slots is one point, and the counts between
-    consecutive bars are its coordinates; combinations come in lexicographic
-    order, and so do the points.
+    Yielded in lexicographic order as (B, m) int64 blocks of _GRID_BLOCK_ROWS
+    rows, the last one possibly shorter.  Each block is built from its ranks
+    with NumPy, one coordinate at a time, by unranking the combinatorial
+    number system: with N(t, k) = C(t + k - 1, k - 1) points of sum t in k
+    coordinates, a point holds q = N(steps, m) - rank, and its first
+    coordinate is steps - t for the smallest t with N(t, k) >= q; the rest of
+    the point is the point of sum t in k - 1 coordinates holding
+    q - N(t - 1, k).  For k = 2 that t is q - 1, so no table is needed.  The
+    tables of N(t, k) for k >= 3 hold (m - 2) * (steps + 1) integers, at
+    most three blocks' worth on any grid GridSpec admits, so memory stays
+    O(block) for every m.
     """
-    slots = steps + m - 1
-    bars = itertools.combinations(range(slots), m - 1)
-    while True:
-        chunk = list(itertools.islice(bars, _GRID_BLOCK_ROWS))
-        if not chunk:
-            return
-        cuts = np.array(chunk, dtype=np.int64).reshape(len(chunk), m - 1)
-        yield np.diff(cuts, axis=1, prepend=-1, append=slots) - 1
+    total = math.comb(steps + m - 1, m - 1)
+    # tables[j] = [0, N(0, k), ..., N(steps, k)] for k = m - j, from m down to 3
+    tables = []
+    if m >= 3:
+        counts = np.arange(1, steps + 2, dtype=np.int64)  # N(t, 2) = t + 1
+        for _ in range(3, m + 1):
+            counts = np.cumsum(counts)
+            tables.append(np.concatenate(([0], counts)))
+        tables.reverse()
+    for start in range(0, total, _GRID_BLOCK_ROWS):
+        stop = min(start + _GRID_BLOCK_ROWS, total)
+        q = total - np.arange(start, stop, dtype=np.int64)
+        block = np.empty((stop - start, m), dtype=np.int64)
+        rem = steps
+        for j, padded in enumerate(tables):
+            t = np.searchsorted(padded, q) - 1
+            block[:, j] = rem - t
+            q = q - padded[t]
+            rem = t
+        if m >= 2:
+            block[:, m - 2] = rem - (q - 1)
+            rem = q - 1
+        block[:, m - 1] = rem
+        yield block
 
 
 @dataclass(frozen=True, eq=False)

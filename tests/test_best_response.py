@@ -341,7 +341,9 @@ class TestMultiplierSearch:
             tx = alloc(sample_simplex(rng, 1, m, params.t_budget)[0], params.t_budget)
             closed_form_calls.clear()
             jam_best_response(params, tx)
-            assert len(closed_form_calls) <= 24
+            # at least one: a search that stops calling jam_closed_form is
+            # no longer counted, and must not pass for a fast one
+            assert 0 < len(closed_form_calls) <= 24
 
     @given(
         noise=st.lists(magnitudes, min_size=1, max_size=6),

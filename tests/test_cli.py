@@ -396,6 +396,16 @@ class TestOracleCommand:
         assert code == 2
         assert "at most 4 channels" in err
 
+    def test_rejected_game_exits_2_before_the_grid(self, tmp_path, capsys, monkeypatch):
+        # solve_nash rejects the budget, and the grid is never scored
+        scored = []
+        monkeypatch.setattr(cli_module, "grid_minimax", lambda *args: scored.append(args))
+        path = write_config(tmp_path, j_budget=1e-300, channels=[1.0, 2.0])
+        code, out, err = run_cli(capsys, "oracle", "--config", path, "--resolution", "201")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: j_budget 1e-300 is below the float resolution")
+        assert scored == []
+
     def test_bad_resolution_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "oracle", "--config", write_config(tmp_path), "--resolution", "1",

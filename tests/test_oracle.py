@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +11,11 @@ from jamgame import (
     grid_minimax,
     run_dynamics,
     saddle_probe,
+    sample_simplex,
     solve_nash,
     tx_best_response,
 )
+from jamgame import equilibrium
 from jamgame.core import BUDGET_RTOL, utility_batch
 from jamgame.oracle import (
     _GRID_BLOCK_ROWS,
@@ -22,6 +26,25 @@ from jamgame.oracle import (
 )
 
 from conftest import alloc, make_params, random_instance, simplex_grid
+
+
+def combinations_blocks(steps, m):
+    """The grid enumerated through itertools.combinations, in the same blocks.
+
+    Stars and bars: each choice of m - 1 bar positions among steps + m - 1
+    slots is one point, and the counts between consecutive bars are its
+    coordinates; combinations come in lexicographic order, and so do the
+    points.  One Python tuple per point: the reference _grid_blocks must
+    reproduce exactly.
+    """
+    slots = steps + m - 1
+    bars = itertools.combinations(range(slots), m - 1)
+    while True:
+        chunk = list(itertools.islice(bars, _GRID_BLOCK_ROWS))
+        if not chunk:
+            return
+        cuts = np.array(chunk, dtype=np.int64).reshape(len(chunk), m - 1)
+        yield np.diff(cuts, axis=1, prepend=-1, append=slots) - 1
 
 
 def per_point_grid_minimax(params, resolution):
@@ -80,6 +103,55 @@ class TestGridSpec:
         assert n_points > MAX_GRID_POINTS
         with pytest.raises(ValueError, match=f"grid of {n_points} points exceeds the cap"):
             GridSpec(resolution=3000, m=4)
+
+
+class TestGridBlocks:
+    @staticmethod
+    def assert_same_blocks(steps, m):
+        blocks = list(_grid_blocks(steps, m))
+        reference = list(combinations_blocks(steps, m))
+        assert all(0 < len(block) <= _GRID_BLOCK_ROWS for block in blocks)
+        # the same points in the same blocks, so grid_minimax sees the same
+        # (B, m) arrays and its result cannot move
+        assert [block.shape for block in blocks] == [block.shape for block in reference]
+        for block, expect in zip(blocks, reference):
+            assert block.dtype == expect.dtype
+            np.testing.assert_array_equal(block, expect)
+
+    @pytest.mark.parametrize(
+        "steps, m",
+        [
+            (0, 1), (7, 1), (0, 4), (1, 2), (1, 7),
+            # m = 2 over several blocks, ending on a full and a partial block
+            (2 * _GRID_BLOCK_ROWS - 1, 2), (3000, 2),
+            # the first coordinate's subtree (steps + 1 points at m = 3) alone
+            # spans several blocks
+            (1500, 3),
+            (200, 3), (40, 4), (18, 5), (12, 6),
+        ],
+    )
+    def test_matches_combinations(self, steps, m):
+        self.assert_same_blocks(steps, m)
+
+    def test_matches_combinations_on_random_shapes(self):
+        rng = np.random.default_rng(2024)
+        max_steps = {1: 50, 2: 3000, 3: 150, 4: 40, 5: 20, 6: 12}
+        for _ in range(60):
+            m = int(rng.integers(1, 7))
+            self.assert_same_blocks(int(rng.integers(0, max_steps[m] + 1)), m)
+
+    @pytest.mark.parametrize("steps, m", [(10**6, 2), (4000, 3), (100, 5)])
+    def test_memory_flat(self, steps, m):
+        # O(block) for every m: a whole-range tuple or table at (10**6, 2)
+        # would take 8 MB or more
+        tracemalloc.start()
+        try:
+            n_points = sum(len(block) for block in _grid_blocks(steps, m))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n_points == math.comb(steps + m - 1, m - 1)
+        assert peak < 2_000_000
 
 
 class TestGridMinimax:
@@ -227,6 +299,31 @@ class TestSaddleProbe:
         a = saddle_probe(asym3, sol.tx, sol.jam, trials=512, seed=21)
         b = saddle_probe(asym3, sol.tx, sol.jam, trials=512, seed=21)
         assert a == b
+
+    @pytest.mark.parametrize("m", [2, 5, 8, 1000])
+    @pytest.mark.parametrize("chunk_entries", [1, 7 * 1000, 2**16])
+    def test_chunked_draws_match_one_draw(self, monkeypatch, m, chunk_entries):
+        # one generator, all transmitter rows before all jammer rows: drawn in
+        # chunks of any size, the rows and so the report stay bit-identical
+        monkeypatch.setattr(equilibrium, "_PROBE_CHUNK_ENTRIES", chunk_entries)
+        rng = np.random.default_rng(m)
+        params = make_params(rng.uniform(0.5, 8.0, size=m), 2.0 * m, float(m))
+        sol = solve_nash(params)
+        trials, seed, tol = 300, 17, 1e-6
+        report = saddle_probe(params, sol.tx, sol.jam, trials=trials, seed=seed, tol=tol)
+
+        value = float(utility_batch(params, sol.tx.powers, sol.jam.powers)[0])
+        draws = np.random.default_rng(seed)
+        tx_vals = utility_batch(
+            params, sample_simplex(draws, trials, m, params.t_budget), sol.jam.powers
+        )
+        jam_vals = utility_batch(
+            params, sol.tx.powers, sample_simplex(draws, trials, m, params.j_budget)
+        )
+        assert report.tx_excess == float(tx_vals.max() - value)
+        assert report.jam_shortfall == float(value - jam_vals.min())
+        assert report.tx_violations == int(np.count_nonzero(tx_vals > value + tol))
+        assert report.jam_violations == int(np.count_nonzero(jam_vals < value - tol))
 
     def test_negative_trials_rejected(self, symmetric2):
         sol = solve_nash(symmetric2)
