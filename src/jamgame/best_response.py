@@ -40,7 +40,8 @@ __all__ = [
     "tx_best_response",
 ]
 
-#: Tolerance on KKT residuals (stationarity, slackness, dual feasibility).
+#: Tolerance on KKT residuals (stationarity, slackness, dual feasibility),
+#: and on the budget residual relative to max(1, j_budget).
 EPS_KKT = 1e-8
 
 #: Tolerance on optimality gaps measured by direct payoff comparison.
@@ -274,20 +275,23 @@ class KktReport:
     (gradient + u - lambda = 0 holds by construction; what is measured is
     lambda_k = 0 on active channels), ``complementarity`` the largest
     |lambda_k * J_k|, ``dual_violation`` the most negative multiplier, and
-    ``primal_gap`` the budget mismatch.
+    ``primal_gap`` the budget mismatch |sum_k J_k - j_budget|.  ``ok`` judges
+    the budget mismatch relative to max(1, j_budget): a sum of correct powers
+    is off a large budget by a rounding error that grows with it.
     """
 
     stationarity: float
     complementarity: float
     dual_violation: float
     primal_gap: float
+    j_budget: float
 
     def ok(self, tol: float = EPS_KKT) -> bool:
         return (
             self.stationarity <= tol
             and self.complementarity <= tol
             and self.dual_violation <= tol
-            and self.primal_gap <= tol
+            and self.primal_gap <= tol * max(1.0, self.j_budget)
         )
 
 
@@ -297,7 +301,7 @@ def kkt_report(
     """Measure how well (jam, state) satisfies the jammer KKT conditions."""
     if state.degenerate:
         gap = abs(float(jam.powers.sum()) - params.j_budget)
-        return KktReport(0.0, 0.0, 0.0, gap)
+        return KktReport(0.0, 0.0, 0.0, gap, params.j_budget)
     grad = jam_rate_gradient(params, tx.powers, jam.powers)
     residual = grad + state.u - state.lambdas
     active = jam.powers > 0.0
@@ -307,4 +311,6 @@ def kkt_report(
     complementarity = float(np.max(np.abs(state.lambdas * jam.powers)))
     dual_violation = float(max(0.0, -state.lambdas.min()))
     primal_gap = abs(float(jam.powers.sum()) - params.j_budget)
-    return KktReport(stationarity, complementarity, dual_violation, primal_gap)
+    return KktReport(
+        stationarity, complementarity, dual_violation, primal_gap, params.j_budget
+    )

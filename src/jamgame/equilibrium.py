@@ -283,9 +283,10 @@ def verify_nash(
     Checks are: (1) both allocations feasible; (2) best-response gaps for the
     two players within EPS_OPT; (3) ``deviations`` random simplex deviations
     per player (saddle_probe) never improve on the candidate beyond EPS_OPT;
-    (4) jammer KKT residuals within EPS_KKT; (5) regime labels match the
-    stored levels, Unused channels carry no power, TxOnly channels are not
-    jammed, and every powered channel reaches height v within EPS_OPT;
+    (4) jammer KKT residuals within EPS_KKT, the budget residual relative
+    to max(1, j_budget); (5) regime labels match the stored levels, Unused
+    channels carry no power, TxOnly channels are not jammed, and every
+    powered channel reaches height v within EPS_OPT;
     (6) the stored (v, w, u) reproduce each other through the closed-form
     relation.  Zero deviations skip check (3); a negative count raises
     ValueError.  The candidate is checked once, on entry; the best responses

@@ -7,8 +7,10 @@ Two routes that do not share code with the solver:
   the floors alpha_j*J_k + N_k.  The grid is enumerated and scored in
   blocks of rows, all in NumPy with no Python object per point: each block
   of points is unranked from its lexicographic ranks, then scored with one
-  row water-fill and one payoff evaluation.  Memory stays O(block) for any
-  number of channels.  Minimizing the inner
+  row water-fill and one payoff evaluation.  Narrow grids come in blocks of
+  about 8192 entries, tall enough for the water-fill to pour column by
+  column; from 16 channels on a block has 512 rows.  Memory stays O(block)
+  for any number of channels.  Minimizing the inner
   maximum over the grid gives an upper bound on the game value that must sit
   within a provable Lipschitz margin of the closed-form value.
 * run_dynamics iterates damped best responses and watches them contract onto
@@ -48,10 +50,16 @@ EPS_STEP = 1e-9
 #: Most grid points a GridSpec may have.
 MAX_GRID_POINTS = 10_000_000
 
-# Rows per block of grid points scored at once.  Large enough that the
-# per-block NumPy calls are cheap next to the work in them, small enough to
-# keep peak memory flat even at MAX_GRID_POINTS.
+# A block of grid points scored at once holds max(_GRID_BLOCK_ROWS,
+# _GRID_BLOCK_ENTRIES // m) rows.  On narrow grids about _GRID_BLOCK_ENTRIES
+# entries keep the per-block NumPy calls cheap next to the work in them, and
+# make the blocks tall enough for _fill_rows to pour column by column.  Of
+# 2**9 to 2**15 entries, 2**13 timed best, or within the host's noise of
+# the best, at 3 channels and resolution 201 and at 4 and resolution 41.
+# The unranking takes O(m) Python steps per block, so from m = 16 on the
+# blocks keep 512 rows rather than fewer.
 _GRID_BLOCK_ROWS = 512
+_GRID_BLOCK_ENTRIES = 2**13
 
 
 @dataclass(frozen=True)
@@ -85,8 +93,10 @@ class GridSpec:
 def _grid_blocks(steps: int, m: int) -> Iterator[np.ndarray]:
     """All m-vectors of nonnegative ints summing to ``steps``.
 
-    Yielded in lexicographic order as (B, m) int64 blocks of _GRID_BLOCK_ROWS
-    rows, the last one possibly shorter.  Each block is built from its ranks
+    Yielded in lexicographic order as (B, m) int64 blocks of
+    max(_GRID_BLOCK_ROWS, _GRID_BLOCK_ENTRIES // m) rows, the last one
+    possibly shorter: about _GRID_BLOCK_ENTRIES entries on narrow grids, and
+    512 rows from m = 16 on.  Each block is built from its ranks
     with NumPy, one coordinate at a time, by unranking the combinatorial
     number system: with N(t, k) = C(t + k - 1, k - 1) points of sum t in k
     coordinates, a point holds q = N(steps, m) - rank, and its first
@@ -94,8 +104,8 @@ def _grid_blocks(steps: int, m: int) -> Iterator[np.ndarray]:
     the point is the point of sum t in k - 1 coordinates holding
     q - N(t - 1, k).  For k = 2 that t is q - 1, so no table is needed.  The
     tables of N(t, k) for k >= 3 hold (m - 2) * (steps + 1) integers, at
-    most three blocks' worth on any grid GridSpec admits, so memory stays
-    O(block) for every m.
+    most about half a block's worth on any grid GridSpec admits (the most is
+    at m = 3), so memory stays O(block) for every m.
     """
     total = math.comb(steps + m - 1, m - 1)
     # tables[j] = [0, N(0, k), ..., N(steps, k)] for k = m - j, from m down to 3
@@ -106,8 +116,9 @@ def _grid_blocks(steps: int, m: int) -> Iterator[np.ndarray]:
             counts = np.cumsum(counts)
             tables.append(np.concatenate(([0], counts)))
         tables.reverse()
-    for start in range(0, total, _GRID_BLOCK_ROWS):
-        stop = min(start + _GRID_BLOCK_ROWS, total)
+    rows = max(_GRID_BLOCK_ROWS, _GRID_BLOCK_ENTRIES // m)
+    for start in range(0, total, rows):
+        stop = min(start + rows, total)
         q = total - np.arange(start, stop, dtype=np.int64)
         block = np.empty((stop - start, m), dtype=np.int64)
         rem = steps

@@ -15,6 +15,7 @@ from jamgame import (
     verify_nash,
     water_fill,
 )
+from jamgame.best_response import EPS_KKT
 from jamgame.equilibrium import NashSolution, _multiplier, classify_regimes
 from jamgame.waterfill import EPS_SOLVE
 
@@ -279,6 +280,21 @@ class TestVerifyNash:
     def test_negative_deviations_rejected(self, symmetric2):
         with pytest.raises(ValueError):
             verify_nash(symmetric2, solve_nash(symmetric2), deviations=-1)
+
+    @pytest.mark.parametrize(
+        "noise, j_budget",
+        [([6.6, 5.0], 84147648.91615124),
+         ([4.042252525625086, 7.344664502306642, 6.244378383041543, 7.364929700838244],
+          3119539754.2107825)],
+    )
+    def test_large_budget_verifies(self, noise, j_budget):
+        # the jammer's powers sum one ulp of j_budget off it, more than
+        # EPS_KKT in absolute terms: the budget residual is judged relative
+        params = make_params(noise, 2.0 * j_budget, j_budget)
+        report = verify_nash(params, solve_nash(params), deviations=0)
+        assert report.kkt.primal_gap > EPS_KKT
+        assert report.kkt.primal_gap <= EPS_KKT * j_budget
+        assert report.ok, report
 
     def test_tiny_tx_only_power_verifies(self):
         # channel 1 sits just below v, so its TxOnly power is about 5e-13

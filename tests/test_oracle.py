@@ -18,6 +18,7 @@ from jamgame import (
 from jamgame import equilibrium
 from jamgame.core import BUDGET_RTOL, utility_batch
 from jamgame.oracle import (
+    _GRID_BLOCK_ENTRIES,
     _GRID_BLOCK_ROWS,
     EPS_DYN,
     MAX_GRID_POINTS,
@@ -26,6 +27,11 @@ from jamgame.oracle import (
 )
 
 from conftest import alloc, make_params, random_instance, simplex_grid
+
+
+def block_rows(m):
+    """Rows per _grid_blocks block on an m-channel grid (the last may be short)."""
+    return max(_GRID_BLOCK_ROWS, _GRID_BLOCK_ENTRIES // m)
 
 
 def combinations_blocks(steps, m):
@@ -40,7 +46,7 @@ def combinations_blocks(steps, m):
     slots = steps + m - 1
     bars = itertools.combinations(range(slots), m - 1)
     while True:
-        chunk = list(itertools.islice(bars, _GRID_BLOCK_ROWS))
+        chunk = list(itertools.islice(bars, block_rows(m)))
         if not chunk:
             return
         cuts = np.array(chunk, dtype=np.int64).reshape(len(chunk), m - 1)
@@ -65,12 +71,12 @@ def per_point_grid_minimax(params, resolution):
 
 class TestGridSpec:
     def test_point_count_matches_enumeration(self):
-        # (41, 3) and (1200, 2) span more than one block
-        for resolution, m in [(5, 2), (7, 3), (4, 4), (11, 1), (2, 5), (41, 3), (1200, 2)]:
+        # (101, 3) and (5000, 2) span more than one block
+        for resolution, m in [(5, 2), (7, 3), (4, 4), (11, 1), (2, 5), (101, 3), (5000, 2)]:
             steps = resolution - 1
             spec = GridSpec(resolution=resolution, m=m)
             blocks = list(_grid_blocks(steps, m))
-            assert all(0 < len(block) <= _GRID_BLOCK_ROWS for block in blocks)
+            assert all(0 < len(block) <= block_rows(m) for block in blocks)
             points = np.vstack(blocks)
             assert spec.n_points == len(points)
             # lexicographic order, no duplicates: the same sequence as the
@@ -110,7 +116,7 @@ class TestGridBlocks:
     def assert_same_blocks(steps, m):
         blocks = list(_grid_blocks(steps, m))
         reference = list(combinations_blocks(steps, m))
-        assert all(0 < len(block) <= _GRID_BLOCK_ROWS for block in blocks)
+        assert all(0 < len(block) <= block_rows(m) for block in blocks)
         # the same points in the same blocks, so grid_minimax sees the same
         # (B, m) arrays and its result cannot move
         assert [block.shape for block in blocks] == [block.shape for block in reference]
@@ -121,13 +127,18 @@ class TestGridBlocks:
     @pytest.mark.parametrize(
         "steps, m",
         [
-            (0, 1), (7, 1), (0, 4), (1, 2), (1, 7),
-            # m = 2 over several blocks, ending on a full and a partial block
-            (2 * _GRID_BLOCK_ROWS - 1, 2), (3000, 2),
-            # the first coordinate's subtree (steps + 1 points at m = 3) alone
-            # spans several blocks
+            (0, 1), (7, 1), (0, 4), (1, 2), (1, 7), (1023, 2), (3000, 2),
+            # block edges cut the first coordinate's subtrees at m = 3
             (1500, 3),
+            # m = 2 over several blocks, ending on a full and a partial block
+            (2 * block_rows(2) - 1, 2), (3 * block_rows(2), 2),
+            # the first coordinate's subtree (C(steps + 2, 2) points at m = 4)
+            # alone spans several blocks
+            (100, 4),
             (200, 3), (40, 4), (18, 5), (12, 6),
+            # m >= _GRID_BLOCK_ENTRIES / _GRID_BLOCK_ROWS: 512-row blocks,
+            # over several of them at (3, 16) and (2, 40)
+            (1, 40), (2, 20), (3, 16), (2, 40),
         ],
     )
     def test_matches_combinations(self, steps, m):
@@ -229,9 +240,11 @@ class TestGridMinimax:
         "noise, t_budget, j_budget, resolution",
         [([2.0, 2.0], 2.0, 2.0, 3), ([1.0, 1.0, 1.0], 3.0, 3.0, 4),
          ([1.0] * 4, 1.0, 2.0, 5), ([3.0, 3.0, 3.0], 1.0, 1.0, 2),
-         # the two tied minimizers (511, 512) and (512, 511) sit in
-         # different blocks; the first block must keep its point
-         ([1.0, 1.0], 2.0, 1.0, 1024)],
+         ([1.0, 1.0], 2.0, 1.0, 1024),
+         # the two tied minimizers (rows - 1, rows) and (rows, rows - 1), in
+         # grid units, sit in different blocks; the first block must keep
+         # its point
+         ([1.0, 1.0], 2.0, 1.0, 2 * block_rows(2))],
     )
     def test_equal_noise_ties_match_reference(self, noise, t_budget, j_budget, resolution):
         self._assert_matches_reference(make_params(noise, t_budget, j_budget), resolution)
@@ -240,10 +253,10 @@ class TestGridMinimax:
         # the jammer piles onto the quiet first channel, so the grid optimum
         # sits late in lexicographic order, past the first block
         params = make_params([0.5, 3.0, 3.0], 2.0, 3.0)
-        resolution = 41
-        assert GridSpec(resolution=resolution, m=3).n_points > _GRID_BLOCK_ROWS
+        resolution = 81
+        assert GridSpec(resolution=resolution, m=3).n_points > block_rows(3)
         index = self._assert_matches_reference(params, resolution)
-        assert index >= _GRID_BLOCK_ROWS
+        assert index >= block_rows(3)
 
     @staticmethod
     def _assert_matches_reference(params, resolution) -> int:

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jamgame.waterfill import EPS_SOLVE, _fill_rows, level_for_fills, water_fill
+from jamgame.waterfill import (
+    _COLUMN_POUR_ASPECT,
+    EPS_SOLVE,
+    _fill_rows,
+    level_for_fills,
+    water_fill,
+)
 
 from conftest import simplex_grid
 
@@ -189,6 +195,24 @@ class TestFillRows:
             ws = water_fill(row, budget)
             assert level == ws.level
             assert row_fills.tobytes() == ws.fills.tobytes()
+
+        # Both pour orders: the same distinct rows repeated to one row short
+        # of a tall block (scanned along rows) and to a tall block (poured
+        # column by column).
+        for m in range(1, 21):
+            distinct = np.vstack([
+                np.full((2, m), [[1.0], [0.1]]),  # all floors tied
+                np.round(rng.uniform(0.0, 6.0, size=(6, m)), 1),
+                rng.uniform(0.0, 6.0, size=(8, m)),
+            ])
+            expect = [water_fill(row, budget) for row in distinct]
+            tall = _COLUMN_POUR_ASPECT * m
+            for n_rows in (tall - 1, tall):
+                levels, fills = _fill_rows(np.resize(distinct, (n_rows, m)), budget)
+                expect_levels = np.resize([ws.level for ws in expect], n_rows)
+                expect_fills = np.resize([ws.fills for ws in expect], (n_rows, m))
+                assert levels.tobytes() == expect_levels.tobytes()
+                assert fills.tobytes() == expect_fills.tobytes()
 
     def test_zero_budget_pours_nothing_on_tied_floors(self):
         # (0.1 + 0.1 + 0.1) / 3 rounds one ulp above 0.1, which the level
