@@ -2,15 +2,16 @@
 
 Two routes that do not share code with the solver:
 
-* grid_minimax discretizes the jammer simplex and, at every grid point,
-  answers with the transmitter's exact best response: one water-fill over
-  the floors alpha_j*J_k + N_k.  The grid is enumerated and scored in
-  blocks of rows, all in NumPy with no Python object per point: each block
-  of points is unranked from its lexicographic ranks, then scored with one
-  row water-fill and one payoff evaluation.  Narrow grids come in blocks of
-  about 8192 entries, tall enough for the water-fill to pour column by
-  column; from 16 channels on a block has 512 rows.  Memory stays O(block)
-  for any number of channels.  Minimizing the inner
+* grid_minimax discretizes the jammer simplex and minimizes, over the grid,
+  the transmitter's exact best response: one water-fill over the floors
+  alpha_j*J_k + N_k.  The grid is enumerated in blocks of rows, all in NumPy
+  with no Python object per point: each block of points is unranked from its
+  lexicographic ranks.  A payoff lower bound, the rate of one fixed
+  transmitter allocation, then rules out every point of the block whose
+  bound already exceeds the best score so far; the rest are scored exactly,
+  with one row water-fill and one payoff evaluation.  Narrow grids come in
+  blocks of about 8192 entries; from 16 channels on a block has 512 rows.
+  Memory stays O(block) for any number of channels.  Minimizing the inner
   maximum over the grid gives an upper bound on the game value that must sit
   within a provable Lipschitz margin of the closed-form value.
 * run_dynamics iterates damped best responses and watches them contract onto
@@ -61,6 +62,12 @@ MAX_GRID_POINTS = 10_000_000
 _GRID_BLOCK_ROWS = 512
 _GRID_BLOCK_ENTRIES = 2**13
 
+# grid_minimax scores a grid point unless its payoff lower bound exceeds the
+# cut by more than _PRUNE_RTOL * max(1, |cut|).  Both sides are sums of a few
+# logarithms, each rounded to about 1e-15 relative, so the margin only has
+# to absorb rounding.
+_PRUNE_RTOL = 1e-9
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -68,7 +75,9 @@ class GridSpec:
 
     ``resolution`` points per axis means a spacing of budget/(resolution - 1)
     and C(resolution - 1 + m - 1, m - 1) grid points in total.  Construction
-    rejects grids of more than MAX_GRID_POINTS points.
+    rejects grids of more than MAX_GRID_POINTS points, and a resolution whose
+    resolution - 1 steps do not fit a 64-bit integer (a one-channel grid has
+    one point at any resolution).
     """
 
     resolution: int
@@ -79,6 +88,8 @@ class GridSpec:
             raise ValueError("resolution must be at least 2")
         if self.m < 1:
             raise ValueError("m must be at least 1")
+        if self.resolution - 1 > np.iinfo(np.int64).max:
+            raise ValueError("resolution - 1 must fit in a 64-bit integer")
         if self.n_points > MAX_GRID_POINTS:
             raise ValueError(
                 f"grid of {self.n_points} points exceeds the cap of "
@@ -136,7 +147,7 @@ def _grid_blocks(steps: int, m: int) -> Iterator[np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class GridMinimaxResult:
-    """Outcome of the brute-force outer minimization.
+    """Outcome of the outer minimization over the jammer grid.
 
     ``value`` is min over grid jammer points of the exact inner maximum, an
     upper bound on the true game value.  ``gap_bound`` = spacing times the
@@ -158,8 +169,54 @@ class GridMinimaxResult:
             object.__setattr__(self, name, arr)
 
 
+def _grid_seed(params: GameParams, steps: int) -> np.ndarray:
+    """The grid point nearest the equilibrium jammer, in grid units.
+
+    At the equilibrium the jammer water-fills alpha_j*J over the noise alone,
+    so its share of each channel is known before any grid point is scored.
+    The shares times ``steps`` are rounded onto the grid by largest
+    remainder: every coordinate is floored, and the units lost go to the
+    largest remainders, the first channel first on ties.  The result is
+    always a grid point; shares that are not finite (no water held, or an
+    overflowed budget) fall back to an even split.
+    """
+    if params.m == 1:
+        # the one point; steps may not survive a round trip through float
+        return np.array([steps], dtype=np.int64)
+    with np.errstate(all="ignore"):
+        _, fills = _fill_rows(params.noise[np.newaxis, :], params.alpha_j * params.j_budget)
+        x = fills[0] / fills[0].sum() * steps
+    if not np.all(np.isfinite(x)):
+        x = np.full(params.m, steps / params.m)
+    point = np.floor(x).astype(np.int64)
+    order = np.argsort(point - x, kind="stable")
+    point[order[: steps - int(point.sum())]] += 1
+    return point
+
+
+def _payoff_bound(
+    params: GameParams, tx: np.ndarray, block: np.ndarray, spacing: float
+) -> np.ndarray:
+    """Payoff of the fixed transmitter powers ``tx`` at each point of ``block``.
+
+    Row i gets (1/2) sum_k log1p(alpha_t*tx_k / (alpha_j*spacing*i_k + N_k)),
+    which is utility_batch(params, tx, i*spacing) up to rounding, from the
+    block's integer coordinates.  The sum is built one channel column at a
+    time over all rows; a channel without transmit power adds exactly
+    nothing and is skipped.
+    """
+    per_step = params.alpha_j * spacing
+    total = np.zeros(len(block))
+    for k in np.flatnonzero(tx > 0.0):
+        term = block[:, k] * per_step
+        term += params.noise[k]
+        np.divide(params.alpha_t * tx[k], term, out=term)
+        total += np.log1p(term, out=term)
+    return 0.5 * total
+
+
 def grid_minimax(params: GameParams, spec: GridSpec) -> GridMinimaxResult:
-    """Exhaustive minimax over a discretized jammer simplex.
+    """Minimax over a discretized jammer simplex, pruned by a payoff bound.
 
     The jammer grid has ``spec.resolution`` levels per axis; the transmitter
     side stays exact via water-filling, so the only discretization error is
@@ -172,8 +229,23 @@ def grid_minimax(params: GameParams, spec: GridSpec) -> GridMinimaxResult:
     with lipschitz_bound = m * alpha_j / (2 min_k N_k).  Ties on the grid
     resolve to the lexicographically smallest jammer point, keeping results
     reproducible.  Grid points are feasible by construction and are not
-    checked; each block of them is scored with one row water-fill of
-    alpha_t*T over the floors alpha_j*J_k + N_k and one payoff evaluation.
+    checked.
+
+    A point's score, the inner maximum, is at least the payoff of any
+    feasible transmitter allocation against it.  The allocation used is the
+    transmitter's water-fill against a seed: the grid point nearest the
+    equilibrium jammer, which the paper gives in closed form as a water-fill
+    of the jammer over the noise alone.  The cut is the lower of the seed's
+    exact score and the best exact score so far, so it is never below the
+    grid value.  A point whose bound exceeds the cut by more than a rounding
+    margin scores above the grid value and is skipped; every other point
+    (NaN bounds included) is scored exactly, block by block in lexicographic
+    order, with one row water-fill of alpha_t*T over the floors
+    alpha_j*J_k + N_k and one payoff evaluation.  Every point that attains
+    the grid value is scored (the margin covers the rounding of both sums),
+    so the result is the one an exhaustive scan gives.  A seed far from the optimum only loosens the bound and leaves
+    more points to score; it never changes the answer.  ``n_points`` counts
+    every grid point, skipped or scored.
     """
     if spec.m != params.m:
         raise ValueError("grid dimension does not match the game")
@@ -181,22 +253,40 @@ def grid_minimax(params: GameParams, spec: GridSpec) -> GridMinimaxResult:
     spacing = params.j_budget / steps
     tx_budget = params.alpha_t * params.t_budget
 
+    def score(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        jam = points * spacing
+        _, fills = _fill_rows(params.alpha_j * jam + params.noise, tx_budget)
+        tx = fills / params.alpha_t
+        return jam, tx, utility_batch(params, tx, jam)
+
+    _, seed_tx, seed_value = score(_grid_seed(params, steps)[np.newaxis, :])
+    cut = float(seed_value[0])
+    # A budget below the float resolution of the floors can pour up to an
+    # ulp of the level per channel, far more than the budget; scaled back
+    # onto the budget the allocation is feasible, and its payoff a bound.
+    seed_tx = seed_tx[0]
+    poured = float(seed_tx.sum())
+    if poured > params.t_budget:
+        seed_tx = seed_tx * (params.t_budget / poured)
     best_value = math.inf
     best_jam: np.ndarray | None = None
     best_tx: np.ndarray | None = None
     n_points = 0
     for block in _grid_blocks(steps, spec.m):
-        jam = block * spacing
-        _, fills = _fill_rows(params.alpha_j * jam + params.noise, tx_budget)
-        tx = fills / params.alpha_t
-        inner = utility_batch(params, tx, jam)
         n_points += len(block)
+        bound = _payoff_bound(params, seed_tx, block, spacing)
+        # not (bound > limit), so that a NaN bound keeps its row
+        kept = block[~(bound > cut + _PRUNE_RTOL * max(1.0, abs(cut)))]
+        if not len(kept):
+            continue
+        jam, tx, inner = score(kept)
         k = int(np.argmin(inner))
         # strict: an earlier block keeps a tie, and argmin keeps the first
         if inner[k] < best_value:
             best_value = float(inner[k])
             best_jam = jam[k].copy()
             best_tx = tx[k].copy()
+            cut = min(best_value, cut)
 
     lipschitz = params.m * params.alpha_j / (2.0 * float(params.noise.min()))
     return GridMinimaxResult(

@@ -49,9 +49,11 @@ def simplex_grid(budget: float, m: int, resolution: int):
             yield np.array(combo + (remainder,), dtype=float) * h
 
 
-def random_instance(rng: np.random.Generator) -> GameParams:
-    """One game drawn from the acceptance-test parameter ranges."""
-    m = int(rng.integers(2, 4))
+def random_instance(rng: np.random.Generator, m: int | None = None) -> GameParams:
+    """One game drawn from the acceptance-test parameter ranges, with 2 or 3
+    channels unless ``m`` is given."""
+    if m is None:
+        m = int(rng.integers(2, 4))
     return make_params(
         noise=rng.uniform(0.5, 8.0, size=m),
         t_budget=float(rng.uniform(0.5, 5.0)),

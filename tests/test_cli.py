@@ -413,6 +413,15 @@ class TestOracleCommand:
         assert code == 2
         assert "resolution" in err
 
+    def test_resolution_beyond_int64_exits_2(self, tmp_path, capsys):
+        # a one-channel grid has one point, so only the step count can refuse it
+        path = write_config(tmp_path, channels=[1.0])
+        code, out, err = run_cli(
+            capsys, "oracle", "--config", path, "--resolution", str(10**20),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: resolution - 1 must fit in a 64-bit integer")
+
 
 class TestDynamicsCommand:
     def test_converges_from_seeded_start(self, tmp_path, capsys):

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jamgame import (
     Allocation,
@@ -15,7 +17,7 @@ from jamgame import (
     solve_nash,
     tx_best_response,
 )
-from jamgame import equilibrium
+from jamgame import equilibrium, oracle
 from jamgame.core import BUDGET_RTOL, utility_batch
 from jamgame.oracle import (
     _GRID_BLOCK_ENTRIES,
@@ -24,7 +26,10 @@ from jamgame.oracle import (
     MAX_GRID_POINTS,
     DynamicsTrace,
     _grid_blocks,
+    _grid_seed,
+    _payoff_bound,
 )
+from jamgame.waterfill import _fill_rows
 
 from conftest import alloc, make_params, random_instance, simplex_grid
 
@@ -69,6 +74,32 @@ def per_point_grid_minimax(params, resolution):
     return (*best, n_points)
 
 
+#: Log-uniform magnitudes for noise, budgets and gains.
+extreme = st.floats(min_value=-100.0, max_value=100.0).map(lambda e: 10.0**e)
+
+#: Largest resolution per channel count that the per-point reference scans quickly.
+REFERENCE_RESOLUTION = {1: 300, 2: 300, 3: 40, 4: 14, 5: 8}
+
+
+@st.composite
+def grid_games(draw):
+    """(params, resolution): a random, a tied, or an extreme-magnitude game."""
+    m = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["random", "tied", "extreme"]))
+    if kind == "random":
+        value = st.floats(min_value=0.2, max_value=8.0)
+        gain = st.floats(min_value=0.4, max_value=2.5)
+    elif kind == "tied":
+        # few distinct values, so many grid points tie
+        value = st.integers(1, 3).map(float)
+        gain = st.just(1.0)
+    else:
+        value = gain = extreme
+    noise = draw(st.lists(value, min_size=m, max_size=m))
+    params = make_params(noise, draw(value), draw(value), draw(gain), draw(gain))
+    return params, draw(st.integers(2, REFERENCE_RESOLUTION[m]))
+
+
 class TestGridSpec:
     def test_point_count_matches_enumeration(self):
         # (101, 3) and (5000, 2) span more than one block
@@ -99,6 +130,15 @@ class TestGridSpec:
     def test_rejects_resolution_below_two(self):
         with pytest.raises(ValueError):
             GridSpec(resolution=1, m=2)
+
+    @pytest.mark.parametrize("resolution", [2**63 + 1, 10**20])
+    def test_rejects_steps_beyond_int64(self, resolution):
+        # one point at m = 1, so the point cap alone would let it through
+        with pytest.raises(ValueError, match="64-bit"):
+            GridSpec(resolution=resolution, m=1)
+
+    def test_accepts_steps_at_int64_max(self):
+        assert GridSpec(resolution=2**63, m=1).n_points == 1
 
     def test_rejects_oversized_grid(self):
         with pytest.raises(ValueError, match="cap"):
@@ -268,6 +308,23 @@ class TestGridMinimax:
         assert result.n_points == n_points
         return index
 
+    @given(game=grid_games(), block_rows=st.sampled_from([None, 1, 5, 64]))
+    @settings(max_examples=300, deadline=None)
+    def test_pruned_scan_matches_per_point_reference(self, game, block_rows):
+        params, resolution = game
+        with pytest.MonkeyPatch.context() as patch:
+            if block_rows is not None:
+                # many small blocks, so the cut moves from block to block
+                patch.setattr(oracle, "_GRID_BLOCK_ROWS", block_rows)
+                patch.setattr(oracle, "_GRID_BLOCK_ENTRIES", 0)
+            self._assert_matches_reference(params, resolution)
+
+    def test_one_channel_at_int64_resolution(self):
+        # the seed must not round the one point through float
+        params = make_params([2.0], 3.0, 1.5)
+        index = self._assert_matches_reference(params, 2**63)
+        assert index == 0
+
     def test_dimension_mismatch_rejected(self, symmetric2):
         with pytest.raises(ValueError):
             grid_minimax(symmetric2, GridSpec(resolution=11, m=3))
@@ -278,6 +335,108 @@ class TestGridMinimax:
         assert result.lipschitz_bound == pytest.approx(2 * 1.0 / (2 * 1.0))
         assert result.gap_bound == pytest.approx(result.spacing * result.lipschitz_bound)
         assert result.n_points == 101
+
+
+class TestGridPrune:
+    """The payoff bound skips grid points; it must never change the answer."""
+
+    CASES = [
+        # the optimum lies past the first block
+        (([0.5, 3.0, 3.0], 2.0, 3.0), 81),
+        (([1.0, 3.0, 6.0], 4.0, 1.0, 1.3, 0.7), 41),
+        # equal noise: many tied points
+        (([1.0] * 4, 1.0, 2.0), 9),
+        (([0.7, 0.9], 1.7, 1.3, 1.1, 0.9), 300),
+    ]
+
+    def assert_cases_match_reference(self):
+        for args, resolution in self.CASES:
+            TestGridMinimax._assert_matches_reference(make_params(*args), resolution)
+
+    @pytest.mark.parametrize("vertex", [0, -1])
+    def test_vertex_seed_changes_nothing(self, monkeypatch, vertex):
+        def vertex_seed(params, steps):
+            point = np.zeros(params.m, dtype=np.int64)
+            point[vertex] = steps
+            return point
+
+        monkeypatch.setattr(oracle, "_grid_seed", vertex_seed)
+        self.assert_cases_match_reference()
+
+    def test_zero_bound_allocation_changes_nothing(self, monkeypatch):
+        # no transmit power bounds every point by 0, so no point is skipped
+        def zero_bound(params, tx, block, spacing):
+            return _payoff_bound(params, np.zeros_like(tx), block, spacing)
+
+        monkeypatch.setattr(oracle, "_payoff_bound", zero_bound)
+        self.assert_cases_match_reference()
+
+    def test_seed_pour_beyond_the_budget_is_scaled_back(self):
+        # t_budget is below the float resolution of every floor, so every
+        # grid point scores 0 but the seed (1, 1, 1): its floors differ by a
+        # few ulps, and their rounded mean pours 512 to 1024 per channel.
+        # Unscaled, that pour would bound the first point, the winner, whose
+        # channel 0 is unjammed, far above 0 and skip it.
+        params = make_params([941.0, 271.0, 897.0], 1e-30, 1.2e19)
+        index = TestGridMinimax._assert_matches_reference(params, 4)
+        assert index == 0
+
+    def test_scores_under_one_percent_of_points(self, monkeypatch):
+        rows = []
+
+        def counting(floors, budget):
+            rows.append(len(floors))
+            return _fill_rows(floors, budget)
+
+        monkeypatch.setattr(oracle, "_fill_rows", counting)
+        spec = GridSpec(resolution=201, m=3)
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            rows.clear()
+            grid_minimax(random_instance(rng, 3), spec)
+            assert 0 < sum(rows) < 0.01 * spec.n_points
+
+    @pytest.mark.parametrize("m, max_steps", [(1, 40), (2, 40), (3, 40), (5, 12), (16, 3)])
+    def test_bound_is_the_payoff_formula(self, m, max_steps):
+        rng = np.random.default_rng(40 + m)
+        for _ in range(5):
+            params = random_instance(rng, m)
+            steps = int(rng.integers(1, max_steps + 1))
+            tx = sample_simplex(rng, 1, m, params.t_budget)[0]
+            # channels without transmit power are skipped
+            tx[rng.random(m) < 0.3] = 0.0
+            spacing = params.j_budget / steps
+            for block in _grid_blocks(steps, m):
+                np.testing.assert_allclose(
+                    _payoff_bound(params, tx, block, spacing),
+                    utility_batch(params, tx, block * spacing),
+                    rtol=1e-12,
+                    atol=0.0,
+                )
+
+    def test_seed_rounds_the_equilibrium_jammer_by_largest_remainder(self):
+        # the jammer pours 4 over noise [1, 3] to level 4: shares 3/4 and 1/4,
+        # so 7.5 and 2.5 of 10 steps; the tied remainder goes to channel 0
+        params = make_params([1.0, 3.0], 1.0, 4.0)
+        np.testing.assert_array_equal(_grid_seed(params, 10), [8, 2])
+
+    @pytest.mark.parametrize(
+        "noise, j_budget, alpha_j",
+        [
+            ([1.0, 2.0, 3.0, 4.0], 1.0, 1.0),
+            # no water held: the jammer budget is below the noise resolution
+            ([1e100, 1e100, 1e100], 1e-100, 1.0),
+            # alpha_j * j_budget overflows
+            ([1.0, 2.0], 1e200, 1e200),
+        ],
+    )
+    @pytest.mark.parametrize("steps", [1, 2, 7, 200, 10**6])
+    def test_seed_is_a_grid_point(self, noise, j_budget, alpha_j, steps):
+        seed = _grid_seed(make_params(noise, 1.0, j_budget, alpha_j=alpha_j), steps)
+        assert seed.dtype == np.int64
+        assert seed.shape == (len(noise),)
+        assert np.all(seed >= 0)
+        assert int(seed.sum()) == steps
 
 
 class TestSaddleProbe:
