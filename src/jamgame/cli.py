@@ -452,7 +452,6 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
         start=start,
         alternating=args.alternating,
     )
-    final_tx, final_jam, final_value = trace.iterates[-1]
     record = {
         "command": "dynamics",
         "config": _echo(params),
@@ -465,9 +464,9 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
         "iterations": trace.n_iters,
         "converged": trace.converged,
         "final_distance": _f12(trace.final_distance),
-        "final_tx": [_f12(p) for p in final_tx],
-        "final_jam": [_f12(p) for p in final_jam],
-        "final_value": _f12(final_value),
+        "final_tx": [_f12(p) for p in trace.final_tx],
+        "final_jam": [_f12(p) for p in trace.final_jam],
+        "final_value": _f12(trace.final_value),
     }
     ok = trace.converged and trace.final_distance <= EPS_DYN
     code = 3 if args.verify and not ok else 0

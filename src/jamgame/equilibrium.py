@@ -137,7 +137,7 @@ def solve_nash(params: GameParams) -> NashSolution:
     noise = params.noise
     jam_ws = water_fill(noise, params.alpha_j * params.j_budget)
     w = jam_ws.level
-    if not jam_ws.active:
+    if jam_ws.active.size == 0:
         raise ValueError(
             f"j_budget {params.j_budget:.6g} is below the float resolution of "
             f"the noise floors it is poured over (lowest {float(noise.min()):.6g})"
@@ -145,7 +145,7 @@ def solve_nash(params: GameParams) -> NashSolution:
 
     tx_ws = water_fill(np.maximum(noise, w), params.alpha_t * params.t_budget)
     v = tx_ws.level
-    if not tx_ws.active:
+    if tx_ws.active.size == 0:
         raise ValueError(
             f"t_budget {params.t_budget:.6g} is below the float resolution of "
             f"the floors max(N_k, w) it is poured over (jammer level w = {w:.6g})"

@@ -14,7 +14,7 @@ Two routes that do not share code with the solver:
   Memory stays O(block) for any number of channels.  Minimizing the inner
   maximum over the grid gives an upper bound on the game value that must sit
   within a provable Lipschitz margin of the closed-form value.
-* run_dynamics iterates damped best responses and watches them contract onto
+* run_dynamics repeats damped best responses and watches them contract onto
   the equilibrium.
 """
 
@@ -53,10 +53,11 @@ MAX_GRID_POINTS = 10_000_000
 
 # A block of grid points scored at once holds max(_GRID_BLOCK_ROWS,
 # _GRID_BLOCK_ENTRIES // m) rows.  On narrow grids about _GRID_BLOCK_ENTRIES
-# entries keep the per-block NumPy calls cheap next to the work in them, and
-# make the blocks tall enough for _fill_rows to pour column by column.  Of
-# 2**9 to 2**15 entries, 2**13 timed best, or within the host's noise of
-# the best, at 3 channels and resolution 201 and at 4 and resolution 41.
+# entries keep the fixed cost of each block (the unranking and
+# _payoff_bound's NumPy calls) small next to the work in it: flat 512-row
+# blocks took two to three times as long on such grids.  Of 2**9 to 2**15
+# entries, 2**13 timed best, or within the host's noise of the best, at 3
+# channels and resolution 201 and at 4 and resolution 41.
 # The unranking takes O(m) Python steps per block, so from m = 16 on the
 # blocks keep 512 rows rather than fewer.
 _GRID_BLOCK_ROWS = 512
@@ -243,9 +244,10 @@ def grid_minimax(params: GameParams, spec: GridSpec) -> GridMinimaxResult:
     order, with one row water-fill of alpha_t*T over the floors
     alpha_j*J_k + N_k and one payoff evaluation.  Every point that attains
     the grid value is scored (the margin covers the rounding of both sums),
-    so the result is the one an exhaustive scan gives.  A seed far from the optimum only loosens the bound and leaves
-    more points to score; it never changes the answer.  ``n_points`` counts
-    every grid point, skipped or scored.
+    so the result is the one an exhaustive scan gives.  A seed far from the
+    optimum only loosens the bound and leaves more points to score; it never
+    changes the answer.  ``n_points`` counts every grid point, skipped or
+    scored.
     """
     if spec.m != params.m:
         raise ValueError("grid dimension does not match the game")
@@ -302,22 +304,28 @@ def grid_minimax(params: GameParams, spec: GridSpec) -> GridMinimaxResult:
 
 @dataclass(frozen=True, eq=False)
 class DynamicsTrace:
-    """Iterates of damped best-response dynamics and where they ended up.
+    """Where damped best-response dynamics ended up.
 
-    ``iterates`` holds one (tx_powers, jam_powers, utility) triple per update
-    step.  ``final_distance`` is the sup-norm distance from the last iterate
-    to the closed-form equilibrium, across both players' power vectors.
+    ``final_tx`` and ``final_jam`` are the read-only power vectors after the
+    last of ``n_iters`` update steps, and ``final_value`` the payoff there.
+    ``final_distance`` is the sup-norm distance from that iterate to the
+    closed-form equilibrium, across both players' power vectors.
     """
 
-    iterates: tuple[tuple[np.ndarray, np.ndarray, float], ...]
+    final_tx: np.ndarray
+    final_jam: np.ndarray
+    final_value: float
+    n_iters: int
     damping: float
     alternating: bool
     converged: bool
     final_distance: float
 
-    @property
-    def n_iters(self) -> int:
-        return len(self.iterates)
+    def __post_init__(self) -> None:
+        for name in ("final_tx", "final_jam"):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 def run_dynamics(
@@ -337,6 +345,8 @@ def run_dynamics(
     caller's start is checked once, on entry, with require_feasible.  The
     reference equilibrium is solved before the first step, so a game that
     solve_nash rejects fails with its error before any iterate is built.
+    Only the current iterate is kept, so memory is O(m) for any
+    ``max_iters``.
 
     The successive-change threshold is deliberately tighter than EPS_DYN:
     with damping around 0.5 the residual distance to the fixed point is a
@@ -360,9 +370,8 @@ def run_dynamics(
         require_feasible(tx_start, params.t_budget, params.m, "start tx")
         require_feasible(jam_start, params.j_budget, params.m, "start jam")
 
-    iterates: list[tuple[np.ndarray, np.ndarray, float]] = []
     converged = False
-    for _ in range(max_iters):
+    for n_iters in range(1, max_iters + 1):
         tx_alloc = Allocation(powers=tx_powers, budget=params.t_budget)
         jam_alloc = Allocation(powers=jam_powers, budget=params.j_budget)
         tx_br, _ = tx_best_response(params, jam_alloc)
@@ -380,12 +389,6 @@ def run_dynamics(
             float(np.max(np.abs(new_jam - jam_powers))),
         )
         tx_powers, jam_powers = new_tx, new_jam
-        value = float(utility_batch(params, tx_powers, jam_powers)[0])
-        tx_snapshot = tx_powers.copy()
-        jam_snapshot = jam_powers.copy()
-        tx_snapshot.setflags(write=False)
-        jam_snapshot.setflags(write=False)
-        iterates.append((tx_snapshot, jam_snapshot, value))
         if step <= EPS_STEP:
             converged = True
             break
@@ -395,7 +398,10 @@ def run_dynamics(
         float(np.max(np.abs(jam_powers - reference.jam.powers))),
     )
     return DynamicsTrace(
-        iterates=tuple(iterates),
+        final_tx=tx_powers,
+        final_jam=jam_powers,
+        final_value=float(utility_batch(params, tx_powers, jam_powers)[0]),
+        n_iters=n_iters,
         damping=damping,
         alternating=alternating,
         converged=converged,

@@ -9,9 +9,7 @@ which avoids iteration entirely.
 One row kernel, _fill_rows, does the pouring for a whole (B, M) block of
 floors at one budget.  water_fill runs it on a single row; grid_minimax
 runs it on blocks of jammer grid points.  The kernel scans the breakpoints
-in one of two orders, picked from the block's shape and equal bit for bit:
-along each row for short or wide blocks (a single row among them), and one
-column at a time over all rows for tall blocks.
+of every row at once with cumsum and a reversed argmax.
 """
 
 from __future__ import annotations
@@ -33,26 +31,23 @@ __all__ = [
 #: max(1, scale) where scale is the magnitude of the quantity checked.
 EPS_SOLVE = 1e-12
 
-# Rows per column from which _fill_rows pours column by column.  The column
-# pour pays a few NumPy calls per column, the row scan a few tens of
-# nanoseconds per row in each of its calls.  On a 2-vCPU host (NumPy 2.4)
-# the column pour measured faster from about 64 rows per column at M = 4 to
-# 32, and slower below that; at M <= 3 it was faster at every height.
-_COLUMN_POUR_ASPECT = 64
-
 
 @dataclass(frozen=True, eq=False)
 class WaterSolution:
-    """Water level, per-channel fills, and the indices that received power."""
+    """Water level, per-channel fills, and the indices that received power.
+
+    ``fills`` and ``active`` (ascending channel indices) are read-only arrays.
+    """
 
     level: float
     fills: np.ndarray
-    active: tuple[int, ...]
+    active: np.ndarray
 
     def __post_init__(self) -> None:
-        fills = np.asarray(self.fills, dtype=float)
-        fills.setflags(write=False)
-        object.__setattr__(self, "fills", fills)
+        for name, dtype in (("fills", float), ("active", np.intp)):
+            arr = np.asarray(getattr(self, name), dtype=dtype)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 def _check_floors(floors) -> np.ndarray:
@@ -72,14 +67,8 @@ def _fill_rows(floors: np.ndarray, budget: float) -> tuple[np.ndarray, np.ndarra
     Each row is solved exactly as water_fill documents; a row in which no
     candidate level holds water (a zero budget, or one below the float
     resolution of the floors) gets its lowest floor as the level and no fill.
-
-    The candidate levels of the sorted rows are scanned in one of two orders,
-    with the same floating-point operations in the same order, so both give
-    the same bits.  A tall block, at least _COLUMN_POUR_ASPECT rows per
-    column, is poured one column at a time: one Python step per column, each
-    over all rows.  Any other block, a single row among them, is scanned
-    along its rows with cumsum and a reversed argmax, whose NumPy calls cost
-    a fixed overhead per row instead.
+    The candidate levels of all sorted rows are scanned at once, along the
+    rows, with cumsum and a reversed argmax.
     """
     fs = np.sort(floors, axis=1, kind="stable")
     n_rows, width = fs.shape
@@ -87,22 +76,12 @@ def _fill_rows(floors: np.ndarray, budget: float) -> tuple[np.ndarray, np.ndarra
     # floor; the last valid one uses every channel that holds water.  A zero
     # budget pours nothing even where a rounded mean of equal floors lands
     # one ulp above them.
-    if n_rows >= _COLUMN_POUR_ASPECT * width:
-        level = fs[:, 0]
-        if budget > 0.0:
-            acc = fs[:, 0]
-            for j in range(width):
-                if j:
-                    acc = acc + fs[:, j]
-                cand = (budget + acc) / (j + 1)
-                level = np.where(cand > fs[:, j], cand, level)
-    else:
-        counts = np.arange(1, width + 1, dtype=float)
-        levels = (budget + np.cumsum(fs, axis=1)) / counts
-        valid = (levels > fs) & (budget > 0.0)
-        last = width - 1 - np.argmax(valid[:, ::-1], axis=1)
-        rows = np.arange(n_rows)
-        level = np.where(valid[rows, last], levels[rows, last], fs[:, 0])
+    counts = np.arange(1, width + 1, dtype=float)
+    levels = (budget + np.cumsum(fs, axis=1)) / counts
+    valid = (levels > fs) & (budget > 0.0)
+    last = width - 1 - np.argmax(valid[:, ::-1], axis=1)
+    rows = np.arange(n_rows)
+    level = np.where(valid[rows, last], levels[rows, last], fs[:, 0])
     fills = np.maximum(level[:, None] - floors, 0.0)
     return level, fills
 
@@ -122,7 +101,8 @@ def water_fill(floors, budget: float) -> WaterSolution:
     -------
     WaterSolution
         ``level`` is the water level v, ``fills[k] = max(v - floors[k], 0)``,
-        and ``active`` lists the channels with strictly positive fill.
+        and ``active`` holds the indices of the channels with strictly
+        positive fill, ascending.
 
     Notes
     -----
@@ -138,7 +118,7 @@ def water_fill(floors, budget: float) -> WaterSolution:
     if not math.isfinite(budget) or budget < 0.0:
         raise ValueError("budget must be finite and nonnegative")
     level, fills = _fill_rows(f[np.newaxis, :], budget)
-    active = tuple(int(k) for k in np.nonzero(fills[0] > 0.0)[0])
+    active = np.flatnonzero(fills[0] > 0.0)
     return WaterSolution(level=float(level[0]), fills=fills[0], active=active)
 
 

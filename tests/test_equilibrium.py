@@ -334,9 +334,8 @@ class TestUniquenessProbe:
             trace = run_dynamics(asym3, damping=0.5, max_iters=10_000, start=start)
             assert trace.converged
             assert trace.final_distance <= 1e-6
-            last_tx, last_jam, _ = trace.iterates[-1]
-            assert np.max(np.abs(last_tx - reference.tx.powers)) <= 1e-6
-            assert np.max(np.abs(last_jam - reference.jam.powers)) <= 1e-6
+            assert np.max(np.abs(trace.final_tx - reference.tx.powers)) <= 1e-6
+            assert np.max(np.abs(trace.final_jam - reference.jam.powers)) <= 1e-6
 
 
 class TestFeasibilityChecks:

@@ -516,20 +516,40 @@ class TestRunDynamics:
     def test_uniform_start_reaches_equilibrium(self, symmetric2):
         trace = run_dynamics(symmetric2, damping=0.5, max_iters=10_000)
         assert trace.converged
-        last_tx, last_jam, _ = trace.iterates[-1]
-        np.testing.assert_allclose(last_tx, [1.0, 1.0], atol=1e-6)
-        np.testing.assert_allclose(last_jam, [0.5, 0.5], atol=1e-6)
+        np.testing.assert_allclose(trace.final_tx, [1.0, 1.0], atol=1e-6)
+        np.testing.assert_allclose(trace.final_jam, [0.5, 0.5], atol=1e-6)
 
     def test_iterates_are_feasible_and_bounded(self, asym3):
-        trace = run_dynamics(asym3, damping=0.5, max_iters=50)
-        assert isinstance(trace, DynamicsTrace)
-        assert trace.n_iters <= 50
-        for tx_powers, jam_powers, value in trace.iterates:
-            assert np.all(tx_powers >= 0.0)
-            assert np.all(jam_powers >= 0.0)
-            assert float(tx_powers.sum()) == pytest.approx(4.0, rel=1e-9)
-            assert float(jam_powers.sum()) == pytest.approx(1.0, rel=1e-9)
-            assert math.isfinite(value)
+        # the dynamics are deterministic, so a run capped at k steps ends on
+        # the k-th iterate of the uncapped run
+        for k in range(1, 51):
+            trace = run_dynamics(asym3, damping=0.5, max_iters=k)
+            assert isinstance(trace, DynamicsTrace)
+            assert trace.n_iters <= k
+            assert not trace.final_tx.flags.writeable
+            assert not trace.final_jam.flags.writeable
+            assert np.all(trace.final_tx >= 0.0)
+            assert np.all(trace.final_jam >= 0.0)
+            assert float(trace.final_tx.sum()) == pytest.approx(4.0, rel=1e-9)
+            assert float(trace.final_jam.sum()) == pytest.approx(1.0, rel=1e-9)
+            assert math.isfinite(trace.final_value)
+
+    def test_memory_flat_in_max_iters(self):
+        # undamped dynamics cycle on this game; a trace that kept every
+        # iterate would grow by hundreds of bytes per step
+        params = make_params([0.5, 2.0, 4.0], 1.0, 2.0)
+        run_dynamics(params, damping=1.0, max_iters=10)  # warm caches
+        peaks = {}
+        for max_iters in (200, 2000):
+            tracemalloc.start()
+            try:
+                trace = run_dynamics(params, damping=1.0, max_iters=max_iters)
+                peaks[max_iters] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert not trace.converged
+            assert trace.n_iters == max_iters
+        assert peaks[2000] < peaks[200] + 50_000
 
     def test_undamped_trace_reports_outcome_without_crashing(self, symmetric2):
         # observed on this instance: undamped best response settles too; the
@@ -556,7 +576,7 @@ class TestRunDynamics:
         b = run_dynamics(asym3, damping=0.5, max_iters=100, start=start)
         assert a.final_distance == b.final_distance
         assert a.n_iters == b.n_iters
-        np.testing.assert_array_equal(a.iterates[-1][0], b.iterates[-1][0])
+        np.testing.assert_array_equal(a.final_tx, b.final_tx)
 
     def test_max_iters_caps_trace_length(self, asym3):
         trace = run_dynamics(asym3, damping=0.01, max_iters=5)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jamgame.waterfill import (
-    _COLUMN_POUR_ASPECT,
     EPS_SOLVE,
     _fill_rows,
     level_for_fills,
@@ -46,13 +45,14 @@ class TestWaterFill:
         ws = water_fill([1.0, 1.0], 1.0)
         assert ws.level == pytest.approx(1.5, abs=1e-15)
         np.testing.assert_allclose(ws.fills, [0.5, 0.5], atol=1e-15)
-        assert ws.active == (0, 1)
+        assert ws.active.tolist() == [0, 1]
+        assert not ws.active.flags.writeable
 
     def test_single_active_channel(self):
         ws = water_fill([1.0, 3.0], 1.0)
         assert ws.level == pytest.approx(2.0, abs=1e-15)
         np.testing.assert_allclose(ws.fills, [1.0, 0.0], atol=1e-15)
-        assert ws.active == (0,)
+        assert ws.active.tolist() == [0]
 
     def test_both_channels_active(self):
         # (L - 2) + (L - 5) = 10 gives L = 8.5
@@ -64,7 +64,7 @@ class TestWaterFill:
         ws = water_fill([1.0, 1.0], 0.0)
         assert ws.level == 1.0
         np.testing.assert_array_equal(ws.fills, [0.0, 0.0])
-        assert ws.active == ()
+        assert ws.active.size == 0
 
     def test_zero_budget_level_is_min_floor(self):
         ws = water_fill([4.0, 1.5, 3.0], 0.0)
@@ -75,7 +75,7 @@ class TestWaterFill:
         ws = water_fill([1.0, 2.0], 1.0)
         assert ws.level == pytest.approx(2.0, abs=1e-15)
         assert ws.fills[1] == 0.0
-        assert ws.active == (0,)
+        assert ws.active.tolist() == [0]
 
     @pytest.mark.parametrize(
         "floors, budget",
@@ -131,7 +131,7 @@ class TestWaterFill:
         ws = water_fill(floors, budget)
         check = level_for_fills(floors, ws.fills)
         assert check.consistent
-        if ws.active:
+        if ws.active.size:
             assert check.level == pytest.approx(ws.level, rel=1e-12)
 
     def test_budget_monotonicity(self):
@@ -196,9 +196,8 @@ class TestFillRows:
             assert level == ws.level
             assert row_fills.tobytes() == ws.fills.tobytes()
 
-        # Both pour orders: the same distinct rows repeated to one row short
-        # of a tall block (scanned along rows) and to a tall block (poured
-        # column by column).
+        # Tall blocks, like grid_minimax's on narrow grids: the same distinct
+        # rows repeated to 64*m - 1 and 64*m rows.
         for m in range(1, 21):
             distinct = np.vstack([
                 np.full((2, m), [[1.0], [0.1]]),  # all floors tied
@@ -206,7 +205,7 @@ class TestFillRows:
                 rng.uniform(0.0, 6.0, size=(8, m)),
             ])
             expect = [water_fill(row, budget) for row in distinct]
-            tall = _COLUMN_POUR_ASPECT * m
+            tall = 64 * m
             for n_rows in (tall - 1, tall):
                 levels, fills = _fill_rows(np.resize(distinct, (n_rows, m)), budget)
                 expect_levels = np.resize([ws.level for ws in expect], n_rows)
@@ -220,7 +219,7 @@ class TestFillRows:
         levels, fills = _fill_rows(np.array([[0.1, 0.1, 0.1]]), 0.0)
         assert levels[0] == 0.1
         np.testing.assert_array_equal(fills, 0.0)
-        assert water_fill([0.1, 0.1, 0.1], 0.0).active == ()
+        assert water_fill([0.1, 0.1, 0.1], 0.0).active.size == 0
 
 
 class TestLevelForFills:
