@@ -48,6 +48,32 @@ GOLDEN_CASES = {
     "best_response_m2_jam.json": ("best-response", "--player", "jam", "--fixed", "2,0"),
     "oracle_m2.json": ("oracle", "--resolution", "21"),
     "dynamics_m2.json": ("dynamics", "--seed", "3", "--max-iters", "40"),
+    "best_response_m2_tx_table.txt": (
+        "best-response", "--player", "tx", "--fixed", "1,0", "--format", "table",
+    ),
+    "best_response_m2_jam_table.txt": (
+        "best-response", "--player", "jam", "--fixed", "2,0", "--format", "table",
+    ),
+    "best_response_m2_jam_degenerate_table.txt": (
+        "best-response", "--player", "jam", "--fixed", "0,0", "--format", "table",
+    ),
+    "oracle_m2_table.txt": ("oracle", "--resolution", "21", "--format", "table"),
+    "dynamics_m2_table.txt": (
+        "dynamics", "--seed", "3", "--max-iters", "40", "--format", "table",
+    ),
+    "nash_m3_regimes.json": ("nash", "--verify"),
+    "nash_m3_regimes_table.txt": ("nash", "--verify", "--format", "table"),
+    "nash_m3_regimes.csv": ("nash", "--verify", "--format", "csv"),
+}
+
+#: A game with one channel in each regime: Contested, TxOnly and Unused.
+_THREE_REGIMES = {"t_budget": 4.0, "j_budget": 1.0, "channels": [1.0, 3.0, 6.0]}
+
+#: Golden file -> config overrides, for the files not on the default config.
+GOLDEN_CONFIGS = {
+    "nash_m3_regimes.json": _THREE_REGIMES,
+    "nash_m3_regimes_table.txt": _THREE_REGIMES,
+    "nash_m3_regimes.csv": _THREE_REGIMES,
 }
 
 
@@ -103,6 +129,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def golden_argv(tmp_path, name):
+    """The CLI arguments that produce golden file ``name``."""
+    command, *rest = ALL_GOLDEN_CASES[name]
+    path = write_config(tmp_path, **GOLDEN_CONFIGS.get(name, {}))
+    return (command, "--config", path, *rest)
 
 
 class TestLoadConfig:
@@ -605,10 +638,13 @@ class TestDeterminismAndGoldens:
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
     def test_golden_file(self, tmp_path, capsys, name):
-        command, *rest = GOLDEN_CASES[name]
-        code, out, _ = run_cli(capsys, command, "--config", write_config(tmp_path), *rest)
+        code, out, _ = run_cli(capsys, *golden_argv(tmp_path, name))
         assert code == 0
         assert out == (GOLDEN / name).read_text()
+
+    def test_every_golden_file_has_a_case(self):
+        # a golden file that no case reads would go unchecked
+        assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(ALL_GOLDEN_CASES)
 
 
 class TestArgumentErrors:
@@ -638,10 +674,8 @@ class TestParserReuse:
         "reverse", [False, True], ids=["sorted", "reversed"]
     )
     def test_goldens_back_to_back(self, tmp_path, capsys, reverse):
-        path = write_config(tmp_path)
         for name in sorted(ALL_GOLDEN_CASES, reverse=reverse):
-            command, *rest = ALL_GOLDEN_CASES[name]
-            code, out, _ = run_cli(capsys, command, "--config", path, *rest)
+            code, out, _ = run_cli(capsys, *golden_argv(tmp_path, name))
             assert code == 0, name
             assert out == (GOLDEN / name).read_text(), name
 
