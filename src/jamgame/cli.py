@@ -18,6 +18,7 @@ import json
 import math
 import sys
 from dataclasses import replace
+from typing import Callable
 
 import numpy as np
 
@@ -55,11 +56,14 @@ _REQUIRED_FIELDS = ("alpha_t", "alpha_j", "t_budget", "j_budget", "channels")
 _KNOWN_FIELDS = _REQUIRED_FIELDS + ("noise_unit",)
 
 
-def _require_number(raw: dict, name: str) -> float:
-    value = raw[name]
+def _number(value: object, name: str) -> float:
+    """A config number as a finite float; JSON booleans are not numbers."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise ConfigError(f"{name} must be finite") from None
     if not math.isfinite(value):
         raise ConfigError(f"{name} must be finite")
     return value
@@ -86,7 +90,7 @@ def load_config(path: str) -> GameParams:
 
     scalars = {}
     for key in ("alpha_t", "alpha_j", "t_budget", "j_budget"):
-        value = _require_number(raw, key)
+        value = _number(raw[key], key)
         if value <= 0.0:
             raise ConfigError(f"{key} must be positive")
         scalars[key] = value
@@ -100,11 +104,7 @@ def load_config(path: str) -> GameParams:
         raise ConfigError("channels must be non-empty")
     noise: list[float] = []
     for k, entry in enumerate(channels):
-        if isinstance(entry, bool) or not isinstance(entry, (int, float)):
-            raise ConfigError(f"channels[{k}] must be a number")
-        value = float(entry)
-        if not math.isfinite(value):
-            raise ConfigError(f"channels[{k}] must be finite")
+        value = _number(entry, f"channels[{k}]")
         if unit == "db":
             try:
                 value = 10.0 ** (value / 10.0)
@@ -124,7 +124,7 @@ def load_config(path: str) -> GameParams:
 
 
 # ---------------------------------------------------------------------------
-# serialization helpers
+# output: every command builds one rounded record and hands it to _emit
 
 def _s12(x: float) -> str:
     return f"{float(x):.12g}"
@@ -144,8 +144,20 @@ def _echo(params: GameParams) -> dict:
     }
 
 
-def _dump_json(record: dict) -> str:
-    return json.dumps(record, indent=2) + "\n"
+def _show(x: object) -> str:
+    """One table value: floats to 12 digits, lists in brackets, booleans in lower case."""
+    if isinstance(x, float):
+        return _s12(x)
+    if isinstance(x, bool):
+        return str(x).lower()
+    if isinstance(x, list):
+        return f"[{', '.join(map(_show, x))}]"
+    return str(x)
+
+
+def _lines(record: dict, *keys: str, sep: str = "\n") -> str:
+    """Table text ``key = value`` for ``keys`` of ``record``, joined by ``sep``."""
+    return sep.join(f"{key} = {_show(record[key])}" for key in keys) + "\n"
 
 
 def _table(rows: list[list[str]]) -> str:
@@ -154,19 +166,38 @@ def _table(rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
+def _emit(
+    args: argparse.Namespace,
+    record: dict,
+    table: Callable[[], str],
+    csv: Callable[[], str] | None = None,
+) -> None:
+    """Write ``record`` as JSON, or the text ``table()`` or ``csv()`` builds, per --format.
+
+    The output goes to --out when given, else to stdout.  A file that cannot
+    be written is a ConfigError, so the call exits 2.
+    """
+    if args.format == "json":
+        text = json.dumps(record, indent=2) + "\n"
+    elif args.format == "table":
+        text = table()
     else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+        text = csv()
+    if args.out is None:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file: {exc}") from exc
 
 
 _CSV_SCALARS = ("varied", "value", "v", "w", "u")
 
 
 def _nash_row(varied: float | None, sol: NashSolution) -> dict:
-    """One solved game, rounded: a sweep JSON row, and the source of CSV cells."""
+    """One solved game, rounded: the one place a NashSolution is rounded."""
     return {
         "varied": varied,
         "value": _f12(sol.value),
@@ -197,27 +228,6 @@ def _csv(rows: list[dict]) -> str:
 # ---------------------------------------------------------------------------
 # nash
 
-def _solution_record(params: GameParams, sol: NashSolution) -> dict:
-    channels = []
-    for k in range(params.m):
-        channels.append(
-            {
-                "k": k + 1,
-                "noise": _f12(params.noise[k]),
-                "tx_power": _f12(sol.tx.powers[k]),
-                "jam_power": _f12(sol.jam.powers[k]),
-                "regime": sol.regimes[k].value,
-            }
-        )
-    return {
-        "v": _f12(sol.v),
-        "w": _f12(sol.w),
-        "u": _f12(sol.u),
-        "value": _f12(sol.value),
-        "channels": channels,
-    }
-
-
 def _verification_record(params: GameParams, sol: NashSolution) -> dict:
     report = verify_nash(params, sol)
     return {
@@ -238,50 +248,34 @@ def _verification_record(params: GameParams, sol: NashSolution) -> dict:
     }
 
 
-def _render_nash(record: dict, fmt: str, sol: NashSolution) -> str:
-    if fmt == "json":
-        return _dump_json(record)
-    if fmt == "csv":
-        return _csv([_nash_row(None, sol)])
-    solution = record["solution"]
-    lines = [
-        f"v = {_s12(solution['v'])}",
-        f"w = {_s12(solution['w'])}",
-        f"u = {_s12(solution['u'])}",
-        f"value = {_s12(solution['value'])}",
-    ]
-    rows = [["k", "noise", "tx_power", "jam_power", "regime"]]
-    for row in solution["channels"]:
-        rows.append(
-            [
-                str(row["k"]),
-                _s12(row["noise"]),
-                _s12(row["tx_power"]),
-                _s12(row["jam_power"]),
-                row["regime"],
-            ]
-        )
-    text = "\n".join(lines) + "\n" + _table(rows)
-    if "verification" in record:
-        verdict = "pass" if record["verification"]["ok"] else "FAIL"
-        text += f"verification: {verdict}\n"
-    return text
-
-
 def cmd_nash(args: argparse.Namespace) -> int:
     params = load_config(args.config)
     sol = solve_nash(params)
-    record = {
-        "command": "nash",
-        "config": _echo(params),
-        "solution": _solution_record(params, sol),
-    }
+    config = _echo(params)
+    row = _nash_row(None, sol)
+    columns = (config["channels"], row["tx_powers"], row["jam_powers"], row["regimes"])
+    solution = {key: row[key] for key in ("v", "w", "u", "value")}
+    solution["channels"] = [
+        {"k": k, "noise": n, "tx_power": t, "jam_power": j, "regime": r}
+        for k, (n, t, j, r) in enumerate(zip(*columns), 1)
+    ]
+    record = {"command": "nash", "config": config, "solution": solution}
     code = 0
     if args.verify:
         record["verification"] = _verification_record(params, sol)
         if not record["verification"]["ok"]:
             code = 3
-    _emit(_render_nash(record, args.format, sol), args.out)
+
+    def table() -> str:
+        rows = enumerate(zip(*columns), 1)
+        cells = [[str(k), _s12(n), _s12(t), _s12(j), r] for k, (n, t, j, r) in rows]
+        header = ["k", "noise", "tx_power", "jam_power", "regime"]
+        text = _lines(solution, "v", "w", "u", "value") + _table([header, *cells])
+        if args.verify:
+            text += f"verification: {'pass' if code == 0 else 'FAIL'}\n"
+        return text
+
+    _emit(args, record, table, lambda: _csv([row]))
     return code
 
 
@@ -308,7 +302,6 @@ def _parse_fixed(
 def cmd_best_response(args: argparse.Namespace) -> int:
     params = load_config(args.config)
     record: dict = {"command": "best-response", "config": _echo(params), "player": args.player}
-    verified_ok = True
 
     if args.player == "tx":
         jam = _parse_fixed(args.fixed, params.m, params.j_budget, "jammer")
@@ -317,12 +310,13 @@ def cmd_best_response(args: argparse.Namespace) -> int:
         check = level_for_fills(
             params.alpha_j * jam.powers + params.noise, params.alpha_t * tx.powers
         )
-        record["response"] = {
+        resp = record["response"] = {
             "tx_powers": [_f12(p) for p in tx.powers],
             "level": _f12(level),
             "value": _f12(float(utility_batch(params, tx.powers, jam.powers)[0])),
             "level_consistent": check.consistent,
         }
+        shown, tail = ("tx_powers", "level", "value", "level_consistent"), ""
         verified_ok = check.consistent
     else:
         tx = _parse_fixed(
@@ -332,7 +326,7 @@ def cmd_best_response(args: argparse.Namespace) -> int:
         jam, state = jam_best_response(params, tx)
         report = kkt_report(params, tx, jam, state)
         value = float(utility_batch(params, tx.powers, jam.powers)[0])
-        record["response"] = {
+        resp = record["response"] = {
             "jam_powers": [_f12(p) for p in jam.powers],
             "u": _f12(state.u),
             "lambdas": [_f12(lam) for lam in state.lambdas],
@@ -345,44 +339,23 @@ def cmd_best_response(args: argparse.Namespace) -> int:
                 "ok": report.ok(),
             },
         }
+        kkt = resp["kkt"]
+        shown = ("jam_powers", "u", "lambdas", "value")
+        tail = (
+            f"kkt residuals: stationarity={_show(kkt['stationarity'])} "
+            f"complementarity={_show(kkt['complementarity'])} "
+            f"dual={_show(kkt['dual_violation'])} primal={_show(kkt['primal_gap'])}\n"
+        )
         if state.degenerate:
-            record["response"]["note"] = (
+            resp["note"] = (
                 "degenerate: any allocation optimal; "
                 "canonical noise-waterfilling returned"
             )
+            tail += resp["note"] + "\n"
         verified_ok = report.ok()
 
-    code = 3 if args.verify and not verified_ok else 0
-    _emit(_render_best_response(record, args.format), args.out)
-    return code
-
-
-def _render_best_response(record: dict, fmt: str) -> str:
-    if fmt == "json":
-        return _dump_json(record)
-    resp = record["response"]
-    lines = [f"player = {record['player']}"]
-    if record["player"] == "tx":
-        lines.append(f"tx_powers = [{', '.join(_s12(p) for p in resp['tx_powers'])}]")
-        lines.append(f"level = {_s12(resp['level'])}")
-        lines.append(f"value = {_s12(resp['value'])}")
-        lines.append(f"level_consistent = {str(resp['level_consistent']).lower()}")
-    else:
-        lines.append(f"jam_powers = [{', '.join(_s12(p) for p in resp['jam_powers'])}]")
-        lines.append(f"u = {_s12(resp['u'])}")
-        lines.append(f"lambdas = [{', '.join(_s12(x) for x in resp['lambdas'])}]")
-        lines.append(f"value = {_s12(resp['value'])}")
-        kkt = resp["kkt"]
-        lines.append(
-            "kkt residuals: "
-            f"stationarity={_s12(kkt['stationarity'])} "
-            f"complementarity={_s12(kkt['complementarity'])} "
-            f"dual={_s12(kkt['dual_violation'])} "
-            f"primal={_s12(kkt['primal_gap'])}"
-        )
-        if "note" in resp:
-            lines.append(resp["note"])
-    return "\n".join(lines) + "\n"
+    _emit(args, record, lambda: _lines(record, "player") + _lines(resp, *shown) + tail)
+    return 3 if args.verify and not verified_ok else 0
 
 
 # ---------------------------------------------------------------------------
@@ -416,23 +389,17 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     # the grid value bounds the game value from above; allow rounding below
     ok = -EPS_SOLVE * max(1.0, sol.value) <= gap <= result.gap_bound
     record["within_bound"] = ok
-    code = 3 if args.verify and not ok else 0
-    _emit(_render_oracle(record, args.format), args.out)
-    return code
 
+    def table() -> str:
+        return (
+            f"resolution = {args.resolution} ({result.n_points} grid points)\n"
+            + _lines(record, "grid_value", "nash_value")
+            + f"gap = {_show(record['gap'])} (bound {_show(record['gap_bound'])})\n"
+            + _lines(record, "grid_jam", "within_bound")
+        )
 
-def _render_oracle(record: dict, fmt: str) -> str:
-    if fmt == "json":
-        return _dump_json(record)
-    lines = [
-        f"resolution = {record['resolution']} ({record['n_points']} grid points)",
-        f"grid_value = {_s12(record['grid_value'])}",
-        f"nash_value = {_s12(record['nash_value'])}",
-        f"gap = {_s12(record['gap'])} (bound {_s12(record['gap_bound'])})",
-        f"grid_jam = [{', '.join(_s12(p) for p in record['grid_jam'])}]",
-        f"within_bound = {str(record['within_bound']).lower()}",
-    ]
-    return "\n".join(lines) + "\n"
+    _emit(args, record, table)
+    return 3 if args.verify and not ok else 0
 
 
 # ---------------------------------------------------------------------------
@@ -469,52 +436,48 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
         "final_value": _f12(trace.final_value),
     }
     ok = trace.converged and trace.final_distance <= EPS_DYN
-    code = 3 if args.verify and not ok else 0
-    _emit(_render_dynamics(record, args.format), args.out)
-    return code
 
+    def table() -> str:
+        return (
+            _lines(record, "gamma", "seed", sep="  ")
+            + _lines(record, "iterations", "converged", sep="  ")
+            + _lines(record, "final_distance", "final_tx", "final_jam", "final_value")
+        )
 
-def _render_dynamics(record: dict, fmt: str) -> str:
-    if fmt == "json":
-        return _dump_json(record)
-    lines = [
-        f"gamma = {_s12(record['gamma'])}  seed = {record['seed']}",
-        f"iterations = {record['iterations']}  converged = {str(record['converged']).lower()}",
-        f"final_distance = {_s12(record['final_distance'])}",
-        f"final_tx = [{', '.join(_s12(p) for p in record['final_tx'])}]",
-        f"final_jam = [{', '.join(_s12(p) for p in record['final_jam'])}]",
-        f"final_value = {_s12(record['final_value'])}",
-    ]
-    return "\n".join(lines) + "\n"
+    _emit(args, record, table)
+    return 3 if args.verify and not ok else 0
 
 
 # ---------------------------------------------------------------------------
 # sweep
 
-def _sweep_params(params: GameParams, key: str, value: float) -> GameParams:
-    if key.startswith("noise:"):
-        noise = params.noise.copy()
-        noise[int(key.split(":", 1)[1]) - 1] = value
-        return replace(params, channels=replace(params.channels, noise=noise))
-    return replace(params, **{key: value})
-
-
-def _check_vary_key(key: str, m: int) -> None:
+def _vary_channel(key: str, m: int) -> int | None:
+    """Check a --vary key; the 0-based channel of ``noise:<k>``, None for a budget."""
     if key in ("t_budget", "j_budget"):
-        return
+        return None
     if key.startswith("noise:"):
         suffix = key.split(":", 1)[1]
         if suffix.isdigit() and 1 <= int(suffix) <= m:
-            return
+            return int(suffix) - 1
         raise ConfigError(
             f"unknown --vary key: {key} (channel index must be 1..{m})"
         )
     raise ConfigError(f"unknown --vary key: {key}")
 
 
+def _sweep_params(
+    params: GameParams, key: str, channel: int | None, value: float
+) -> GameParams:
+    if channel is None:
+        return replace(params, **{key: value})
+    noise = params.noise.copy()
+    noise[channel] = value
+    return replace(params, channels=replace(params.channels, noise=noise))
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     base = load_config(args.config)
-    _check_vary_key(args.vary, base.m)
+    channel = _vary_channel(args.vary, base.m)
     if not args.from_ < args.to:
         raise ConfigError("--from must be less than --to")
     if args.steps < 2:
@@ -525,21 +488,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = []
     all_ok = True
     for value in np.linspace(args.from_, args.to, args.steps):
-        params = _sweep_params(base, args.vary, float(value))
+        params = _sweep_params(base, args.vary, channel, float(value))
         sol = solve_nash(params)
         if args.verify:
             all_ok = all_ok and verify_nash(params, sol).ok
         rows.append(_nash_row(_f12(value), sol))
 
-    if args.format == "json":
-        record = {"command": "sweep", "config": _echo(base), "vary": args.vary, "rows": rows}
-        text = _dump_json(record)
-    elif args.format == "table":
-        width = len(_CSV_SCALARS)
-        text = _table([list(_CSV_SCALARS)] + [_row_cells(row)[:width] for row in rows])
-    else:
-        text = _csv(rows)
-    _emit(text, args.out)
+    record = {"command": "sweep", "config": _echo(base), "vary": args.vary, "rows": rows}
+    width = len(_CSV_SCALARS)
+    _emit(
+        args,
+        record,
+        lambda: _table([list(_CSV_SCALARS)] + [_row_cells(row)[:width] for row in rows]),
+        lambda: _csv(rows),
+    )
     return 3 if args.verify and not all_ok else 0
 
 

@@ -289,8 +289,10 @@ def verify_nash(
     powered channel reaches height v within EPS_OPT;
     (6) the stored (v, w, u) reproduce each other through the closed-form
     relation.  Zero deviations skip check (3); a negative count raises
-    ValueError.  The candidate is checked once, on entry; the best responses
-    built from it are scored unchecked.
+    ValueError.  The candidate's feasibility is checked six times: both
+    allocations on entry, the opponent's allocation in each best response,
+    and both again in saddle_probe's payoff (four times with zero
+    deviations).  The best responses built from it are scored unchecked.
     """
     require_feasible(sol.tx, params.t_budget, params.m, "tx")
     require_feasible(sol.jam, params.j_budget, params.m, "jam")

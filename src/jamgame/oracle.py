@@ -1,6 +1,11 @@
 """Independent checks on the closed-form equilibrium.
 
-Two routes that do not share code with the solver:
+Neither check uses the solver's closed-form construction: the nested
+water-fills for the levels v and w, and the multiplier u that ties them.
+Both share lower layers with the solver.  grid_minimax scores its points
+with _fill_rows and utility_batch; run_dynamics steps with the two best
+responses and calls solve_nash only for the point that final_distance is
+measured against.
 
 * grid_minimax discretizes the jammer simplex and minimizes, over the grid,
   the transmitter's exact best response: one water-fill over the floors

@@ -6,6 +6,7 @@ import functools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -196,6 +197,19 @@ class TestLoadConfig:
         assert (code, out) == (2, "")
         assert err == "error: channels[0] is too large to convert from dB\n"
 
+    @pytest.mark.parametrize(
+        "overrides, name",
+        [({"t_budget": 10**400}, "t_budget"), ({"channels": [1.0, 10**400]}, "channels[1]")],
+        ids=["scalar", "channel"],
+    )
+    def test_integer_beyond_float_range_rejected(self, tmp_path, capsys, overrides, name):
+        # json reads the 401-digit integer exactly; float() of it overflows
+        path = write_config(tmp_path, **overrides)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(name)} must be finite$"):
+            load_config(path)
+        code, out, err = run_cli(capsys, "nash", "--config", path)
+        assert (code, out, err) == (2, "", f"error: {name} must be finite\n")
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -320,6 +334,19 @@ class TestNashCommand:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["solution"]["v"] == 2.5
+
+
+    @pytest.mark.parametrize(
+        "target", ["a_dir", "missing/result.json"], ids=["directory", "missing_parent"]
+    )
+    def test_unwritable_out_file_exits_2(self, tmp_path, capsys, target):
+        (tmp_path / "a_dir").mkdir()
+        code, out, err = run_cli(
+            capsys, "nash", "--config", write_config(tmp_path), "--out", str(tmp_path / target)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write output file")
+        assert err.count("\n") == 1
 
 
 class TestBestResponseCommand:
