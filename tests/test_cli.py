@@ -35,8 +35,8 @@ GOLDEN = Path(__file__).parent / "golden"
 _SWEEP_J = ("--vary", "j_budget", "--from", "0.5", "--to", "2.5", "--steps", "5")
 
 #: Golden file -> CLI arguments after the command, run on the default
-#: two-channel config of ``write_config``.  nash_m2.json and sweep_m2.csv
-#: have their own tests below.
+#: two-channel config of ``write_config`` unless GOLDEN_CONFIGS overrides it.
+#: nash_m2.json and sweep_m2.csv have their own tests below.
 GOLDEN_CASES = {
     "nash_m2_table.txt": ("nash", "--verify", "--format", "table"),
     "nash_m2.csv": ("nash", "--verify", "--format", "csv"),
@@ -334,7 +334,6 @@ class TestNashCommand:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["solution"]["v"] == 2.5
-
 
     @pytest.mark.parametrize(
         "target", ["a_dir", "missing/result.json"], ids=["directory", "missing_parent"]
