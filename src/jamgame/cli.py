@@ -31,7 +31,7 @@ from .core import (
     sample_simplex,
     utility_batch,
 )
-from .equilibrium import NashSolution, solve_nash, verify_nash
+from .equilibrium import REGIME_LABELS, NashSolution, solve_nash, verify_nash
 from .oracle import EPS_DYN, GridSpec, grid_minimax, run_dynamics
 from .waterfill import EPS_SOLVE, level_for_fills
 
@@ -52,8 +52,11 @@ class ConfigError(ValueError):
     """Raised when a config file or CLI argument is unusable; maps to exit 2."""
 
 
-_REQUIRED_FIELDS = ("alpha_t", "alpha_j", "t_budget", "j_budget", "channels")
+_SCALARS = ("alpha_t", "alpha_j", "t_budget", "j_budget")
+_REQUIRED_FIELDS = _SCALARS + ("channels",)
 _KNOWN_FIELDS = _REQUIRED_FIELDS + ("noise_unit",)
+#: The most values one sweep solves: each is a solve_nash call and an output row.
+_MAX_SWEEP_STEPS = 10_000
 
 
 def _number(value: object, name: str) -> float:
@@ -89,7 +92,7 @@ def load_config(path: str) -> GameParams:
             raise ConfigError(f"{key} is required")
 
     scalars = {}
-    for key in ("alpha_t", "alpha_j", "t_budget", "j_budget"):
+    for key in _SCALARS:
         value = _number(raw[key], key)
         if value <= 0.0:
             raise ConfigError(f"{key} must be positive")
@@ -135,13 +138,8 @@ def _f12(x: float) -> float:
 
 
 def _echo(params: GameParams) -> dict:
-    return {
-        "alpha_t": _f12(params.alpha_t),
-        "alpha_j": _f12(params.alpha_j),
-        "t_budget": _f12(params.t_budget),
-        "j_budget": _f12(params.j_budget),
-        "channels": [_f12(n) for n in params.noise],
-    }
+    record = {key: _f12(getattr(params, key)) for key in _SCALARS}
+    return {**record, "channels": [_f12(n) for n in params.noise]}
 
 
 def _show(x: object) -> str:
@@ -194,6 +192,7 @@ def _emit(
 
 
 _CSV_SCALARS = ("varied", "value", "v", "w", "u")
+_KKT_RESIDUALS = ("stationarity", "complementarity", "dual_violation", "primal_gap")
 
 
 def _nash_row(varied: float | None, sol: NashSolution) -> dict:
@@ -206,7 +205,7 @@ def _nash_row(varied: float | None, sol: NashSolution) -> dict:
         "u": _f12(sol.u),
         "tx_powers": [_f12(p) for p in sol.tx.powers],
         "jam_powers": [_f12(p) for p in sol.jam.powers],
-        "regimes": [label.value for label in sol.regimes],
+        "regimes": [REGIME_LABELS[code].value for code in sol.codes.tolist()],
     }
 
 
@@ -236,10 +235,7 @@ def _verification_record(params: GameParams, sol: NashSolution) -> dict:
         "jam_gap": _f12(report.jam_gap),
         "tx_excess": _f12(report.tx_excess),
         "jam_shortfall": _f12(report.jam_shortfall),
-        "kkt_stationarity": _f12(report.kkt.stationarity),
-        "kkt_complementarity": _f12(report.kkt.complementarity),
-        "kkt_dual_violation": _f12(report.kkt.dual_violation),
-        "kkt_primal_gap": _f12(report.kkt.primal_gap),
+        **{f"kkt_{key}": _f12(getattr(report.kkt, key)) for key in _KKT_RESIDUALS},
         "regime_failures": list(report.regime_failures),
         "level_gap": _f12(report.level_gap),
         "multiplier_gap": _f12(report.multiplier_gap),
@@ -331,13 +327,8 @@ def cmd_best_response(args: argparse.Namespace) -> int:
             "u": _f12(state.u),
             "lambdas": [_f12(lam) for lam in state.lambdas],
             "value": _f12(value),
-            "kkt": {
-                "stationarity": _f12(report.stationarity),
-                "complementarity": _f12(report.complementarity),
-                "dual_violation": _f12(report.dual_violation),
-                "primal_gap": _f12(report.primal_gap),
-                "ok": report.ok(),
-            },
+            "kkt": {key: _f12(getattr(report, key)) for key in _KKT_RESIDUALS}
+            | {"ok": report.ok()},
         }
         kkt = resp["kkt"]
         shown = ("jam_powers", "u", "lambdas", "value")
@@ -457,11 +448,9 @@ def _vary_channel(key: str, m: int) -> int | None:
         return None
     if key.startswith("noise:"):
         suffix = key.split(":", 1)[1]
-        if suffix.isdigit() and 1 <= int(suffix) <= m:
+        if suffix.isascii() and suffix.isdigit() and 1 <= int(suffix) <= m:
             return int(suffix) - 1
-        raise ConfigError(
-            f"unknown --vary key: {key} (channel index must be 1..{m})"
-        )
+        raise ConfigError(f"unknown --vary key: {key} (channel index must be 1..{m})")
     raise ConfigError(f"unknown --vary key: {key}")
 
 
@@ -478,10 +467,14 @@ def _sweep_params(
 def cmd_sweep(args: argparse.Namespace) -> int:
     base = load_config(args.config)
     channel = _vary_channel(args.vary, base.m)
+    if not (math.isfinite(args.from_) and math.isfinite(args.to)):
+        raise ConfigError("--from and --to must be finite")
     if not args.from_ < args.to:
         raise ConfigError("--from must be less than --to")
     if args.steps < 2:
         raise ConfigError("--steps must be at least 2")
+    if args.steps > _MAX_SWEEP_STEPS:
+        raise ConfigError(f"--steps must be at most {_MAX_SWEEP_STEPS}")
     if args.from_ <= 0.0:
         raise ConfigError(f"--from must be positive when varying {args.vary}")
 

@@ -40,6 +40,7 @@ from .best_response import (
 from .core import (
     Allocation,
     GameParams,
+    _readonly,
     require_feasible,
     sample_simplex,
     utility,
@@ -50,6 +51,7 @@ from .waterfill import water_fill
 __all__ = [
     "NashSolution",
     "NashVerification",
+    "REGIME_LABELS",
     "RegimeLabel",
     "SaddleReport",
     "classify_regimes",
@@ -71,10 +73,8 @@ class RegimeLabel(enum.Enum):
 # to M = 128 at verify_nash's 512 deviations, a single row from M = 65 536.
 _PROBE_CHUNK_ENTRIES = 2**16
 
-#: classify_regimes' integer codes 0, 1, 2 -> labels.
-_REGIME_BY_CODE = np.array(
-    [RegimeLabel.UNUSED, RegimeLabel.TX_ONLY, RegimeLabel.CONTESTED], dtype=object
-)
+#: The label of each regime code: REGIME_LABELS[code].
+REGIME_LABELS = (RegimeLabel.UNUSED, RegimeLabel.TX_ONLY, RegimeLabel.CONTESTED)
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,6 +83,7 @@ class NashSolution:
 
     ``v`` is the transmitter water level, ``w`` the jammer water level,
     ``u`` the jammer budget multiplier, ``value`` the equilibrium rate.
+    ``codes`` holds each channel's regime code, as classify_regimes returns it.
     """
 
     tx: Allocation
@@ -90,16 +91,21 @@ class NashSolution:
     v: float
     w: float
     u: float
-    regimes: tuple[RegimeLabel, ...]
+    codes: np.ndarray
     value: float
 
+    @property
+    def regimes(self) -> tuple[RegimeLabel, ...]:
+        """Each channel's RegimeLabel, built from ``codes`` when read."""
+        return tuple(REGIME_LABELS[code] for code in self.codes.tolist())
 
-def classify_regimes(noise: np.ndarray, v: float, w: float) -> tuple[RegimeLabel, ...]:
-    """Label every channel from its noise and the two water levels v > w:
-    Unused where N_k >= v, TxOnly where w < N_k < v, Contested where N_k <= w."""
+
+def classify_regimes(noise: np.ndarray, v: float, w: float) -> np.ndarray:
+    """Each channel's regime code, in a read-only int8 array, from its noise and
+    the two water levels v > w: 0 (Unused) where N_k >= v, 1 (TxOnly) where
+    w < N_k < v, 2 (Contested) where N_k <= w; REGIME_LABELS[code] labels it."""
     noise = np.asarray(noise)
-    codes = np.where(noise >= v, 0, np.where(noise > w, 1, 2))
-    return tuple(_REGIME_BY_CODE[codes].tolist())
+    return _readonly(np.where(noise >= v, 0, np.where(noise > w, 1, 2)).astype(np.int8))
 
 
 def _multiplier(alpha_j: float, v: float, w: float) -> float:
@@ -160,7 +166,7 @@ def solve_nash(params: GameParams) -> NashSolution:
         v=v,
         w=w,
         u=u,
-        regimes=classify_regimes(noise, v, w),
+        codes=classify_regimes(noise, v, w),
         value=float(utility_batch(params, tx.powers, jam.powers)[0]),
     )
 
@@ -231,14 +237,12 @@ def saddle_probe(
         jam_vals = utility_batch(params, tx.powers, devs)
         jam_min = np.minimum(jam_min, jam_vals.min())
         jam_violations += int(np.count_nonzero(jam_vals < value - tol))
-    tx_excess = float(tx_max - value)
-    jam_shortfall = float(value - jam_min)
     return SaddleReport(
         trials=trials,
         seed=seed,
         tol=tol,
-        tx_excess=tx_excess,
-        jam_shortfall=jam_shortfall,
+        tx_excess=float(tx_max - value),
+        jam_shortfall=float(value - jam_min),
         tx_violations=tx_violations,
         jam_violations=jam_violations,
         ok=tx_violations == 0 and jam_violations == 0,
@@ -284,18 +288,23 @@ def verify_nash(
     two players within EPS_OPT; (3) ``deviations`` random simplex deviations
     per player (saddle_probe) never improve on the candidate beyond EPS_OPT;
     (4) jammer KKT residuals within EPS_KKT, the budget residual relative
-    to max(1, j_budget); (5) regime labels match the stored levels, Unused
+    to max(1, j_budget); (5) the regime codes match the stored levels, Unused
     channels carry no power, TxOnly channels are not jammed, and every
-    powered channel reaches height v within EPS_OPT;
+    powered channel reaches height v within EPS_OPT: masks over the codes,
+    with messages built for flagged channels only, in channel order;
     (6) the stored (v, w, u) reproduce each other through the closed-form
-    relation.  Zero deviations skip check (3); a negative count raises
-    ValueError.  The candidate's feasibility is checked six times: both
-    allocations on entry, the opponent's allocation in each best response,
-    and both again in saddle_probe's payoff (four times with zero
-    deviations).  The best responses built from it are scored unchecked.
+    relation.  Zero deviations skip check (3); a negative count, or codes
+    that are not M regime codes, raise ValueError.  The candidate's
+    feasibility is checked six times: both allocations on entry, the
+    opponent's allocation in each best response, and both again in
+    saddle_probe's payoff (four times with zero deviations).  The best
+    responses built from it are scored unchecked.
     """
     require_feasible(sol.tx, params.t_budget, params.m, "tx")
     require_feasible(sol.jam, params.j_budget, params.m, "jam")
+    codes = np.asarray(sol.codes)
+    if codes.shape != (params.m,) or codes.min() < 0 or codes.max() > 2:
+        raise ValueError(f"codes of shape {codes.shape} are not {params.m} regime codes")
 
     value = float(utility_batch(params, sol.tx.powers, sol.jam.powers)[0])
 
@@ -313,28 +322,26 @@ def verify_nash(
     )
     kkt = kkt_report(params, sol.tx, sol.jam, state)
 
-    regime_failures: list[str] = []
     expected = classify_regimes(params.noise, sol.v, sol.w)
-    zero_tx = 1e-9 * params.t_budget
-    zero_jam = 1e-9 * params.j_budget
-    for k, label in enumerate(sol.regimes):
-        t_k = float(sol.tx.powers[k])
-        j_k = float(sol.jam.powers[k])
-        if label is not expected[k]:
-            regime_failures.append(
-                f"channel {k}: labeled {label.value}, levels say {expected[k].value}"
-            )
-            continue
-        if label is RegimeLabel.UNUSED:
-            if t_k > zero_tx or j_k > zero_jam:
-                regime_failures.append(f"channel {k}: Unused but carries power")
-            continue
-        if label is RegimeLabel.TX_ONLY and j_k > zero_jam:
+    tx, jam = sol.tx.powers, sol.jam.powers
+    labeled = codes == expected
+    jam_on = jam > 1e-9 * params.j_budget
+    height = params.alpha_t * tx + params.alpha_j * jam + params.noise
+    unused = labeled & (codes == 0) & ((tx > 1e-9 * params.t_budget) | jam_on)
+    jammed = labeled & (codes == 1) & jam_on
+    off = labeled & (codes != 0) & (np.abs(height - sol.v) > EPS_OPT * max(1.0, sol.v))
+    regime_failures: list[str] = []
+    for k in np.flatnonzero(~labeled | unused | jammed | off).tolist():
+        if not labeled[k]:
+            label, want = REGIME_LABELS[codes[k]].value, REGIME_LABELS[expected[k]].value
+            regime_failures.append(f"channel {k}: labeled {label}, levels say {want}")
+        if unused[k]:
+            regime_failures.append(f"channel {k}: Unused but carries power")
+        if jammed[k]:
             regime_failures.append(f"channel {k}: TxOnly but jammed")
-        height = params.alpha_t * t_k + params.alpha_j * j_k + params.noise[k]
-        if abs(height - sol.v) > EPS_OPT * max(1.0, sol.v):
-            name = "contested" if label is RegimeLabel.CONTESTED else label.value
-            regime_failures.append(f"channel {k}: {name} height {height:.12g} misses v")
+        if off[k]:
+            name = "contested" if codes[k] == 2 else "TxOnly"
+            regime_failures.append(f"channel {k}: {name} height {height[k]:.12g} misses v")
 
     w_back = sol.v * params.alpha_j / (params.alpha_j + 2.0 * sol.u * sol.v)
     level_gap = abs(w_back - sol.w)

@@ -2,17 +2,22 @@
 byte-level determinism, and golden-file comparison."""
 
 import argparse
+import contextlib
 import functools
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jamgame import (
     Allocation,
@@ -26,7 +31,7 @@ from jamgame import (
 import jamgame.cli as cli_module
 from jamgame.cli import ConfigError, load_config, main
 from jamgame.core import BUDGET_RTOL
-from jamgame.equilibrium import NashSolution
+from jamgame.equilibrium import REGIME_LABELS, NashSolution
 
 from conftest import make_params
 
@@ -120,7 +125,9 @@ def solution_from_record(record: dict) -> tuple[GameParams, NashSolution]:
         v=float(sol_rec["v"]),
         w=float(sol_rec["w"]),
         u=float(sol_rec["u"]),
-        regimes=tuple(RegimeLabel(row["regime"]) for row in rows),
+        codes=np.array(
+            [REGIME_LABELS.index(RegimeLabel(row["regime"])) for row in rows], dtype=np.int8
+        ),
         value=float(sol_rec["value"]),
     )
     return params, sol
@@ -527,6 +534,11 @@ class TestDynamicsCommand:
         assert out1 == out2
 
 
+@pytest.fixture(scope="module")
+def three_regime_config(tmp_path_factory):
+    return write_config(tmp_path_factory.mktemp("sweep"), **_THREE_REGIMES)
+
+
 class TestSweepCommand:
     def test_jam_budget_sweep_value_decreases(self, tmp_path, capsys):
         code, out, _ = run_cli(
@@ -628,6 +640,96 @@ class TestSweepCommand:
         )
         assert code == 2
         assert "--steps" in err
+
+    @pytest.mark.parametrize(
+        "bounds", [("1", "inf"), ("-inf", "2"), ("nan", "2"), ("1", "nan"), ("1", "1e400")]
+    )
+    def test_non_finite_range_exits_2(self, tmp_path, capsys, bounds):
+        # checked before the grid is built: np.linspace warned on an infinite
+        # end, and a NaN --from was reported as "--from must be less than --to"
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--config", write_config(tmp_path), "--vary", "t_budget",
+            f"--from={bounds[0]}", f"--to={bounds[1]}", "--steps", "3",
+        )
+        assert (code, out, err) == (2, "", "error: --from and --to must be finite\n")
+
+    @pytest.mark.parametrize("key", ["noise:\u00b2", "noise:\u0661", "noise:\uff11"])
+    def test_non_ascii_channel_index_exits_2(self, tmp_path, capsys, key):
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--config", write_config(tmp_path),
+            "--vary", key, "--from", "1", "--to", "2", "--steps", "2",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: unknown --vary key: {key} (channel index must be 1..2)\n"
+
+    @pytest.mark.parametrize("steps", [cli_module._MAX_SWEEP_STEPS + 1, 10**20])
+    def test_steps_beyond_cap_exits_2(self, tmp_path, capsys, steps):
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--config", write_config(tmp_path),
+            "--vary", "t_budget", "--from", "1", "--to", "2", "--steps", str(steps),
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: --steps must be at most {cli_module._MAX_SWEEP_STEPS}\n"
+
+    def test_steps_at_cap_runs(self, tmp_path, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "sweep", "--config", write_config(tmp_path), "--vary", "t_budget",
+            "--from", "1", "--to", "2", "--steps", str(cli_module._MAX_SWEEP_STEPS),
+        )
+        assert code == 0
+        assert len(out.splitlines()) == cli_module._MAX_SWEEP_STEPS + 1
+
+    @given(
+        key=st.one_of(
+            st.sampled_from(
+                ["t_budget", "j_budget", "noise:1", "noise:2", "noise:3", "noise:01",
+                 "noise:0", "noise:4", "noise:-1", "noise:", "noise:\u00b2",
+                 "noise:\u0663", "bogus"]
+            ),
+            st.text(max_size=6).map("noise:".__add__),
+        ),
+        bounds=st.lists(
+            st.one_of(
+                st.sampled_from(
+                    ["inf", "-inf", "nan", "1e400", "-1", "0", "-0", "0.5", "2", "1e-320",
+                     "1e300", "\u0663", "x", ""]
+                ),
+                st.floats().map(repr),
+            ),
+            min_size=2,
+            max_size=2,
+        ),
+        steps=st.one_of(
+            st.integers(-1, 6).map(str),
+            st.sampled_from([str(cli_module._MAX_SWEEP_STEPS + 1), "1000000000",
+                             "100000000000000000000", "9" * 5000, "\u0663", "1e3", ""]),
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_adversarial_arguments_keep_the_exit_contract(
+        self, three_regime_config, key, bounds, steps
+    ):
+        # every call exits 0 or 2, with no traceback or warning, and an
+        # input error leaves stdout empty
+        argv = ["sweep", "--config", three_regime_config, f"--vary={key}",
+                f"--from={bounds[0]}", f"--to={bounds[1]}", f"--steps={steps}"]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse rejects an unparsable value
+                    code = exc.code
+        assert code in (0, 2), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert out.getvalue() == ""
+            assert err.getvalue().strip()
 
 
 class TestDeterminismAndGoldens:

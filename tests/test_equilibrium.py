@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from jamgame import (
     water_fill,
 )
 from jamgame.best_response import EPS_KKT
-from jamgame.equilibrium import NashSolution, _multiplier, classify_regimes
+from jamgame.equilibrium import REGIME_LABELS, NashSolution, _multiplier, classify_regimes
 from jamgame.waterfill import EPS_SOLVE
 
 from conftest import alloc, make_params, random_instance
@@ -179,38 +180,42 @@ class TestMultiplier:
 
 
 class TestClassifyRegimes:
+    def assert_codes(self, codes, expected):
+        assert isinstance(codes, np.ndarray)
+        assert codes.dtype == np.int8
+        assert not codes.flags.writeable
+        np.testing.assert_array_equal(codes, expected)
+
     def test_three_channel_example(self, asym3):
-        labels = classify_regimes(asym3.noise, v=4.5, w=2.0)
-        assert labels == (
+        codes = classify_regimes(asym3.noise, v=4.5, w=2.0)
+        self.assert_codes(codes, [2, 1, 0])
+        assert tuple(REGIME_LABELS[c] for c in codes) == (
             RegimeLabel.CONTESTED,
             RegimeLabel.TX_ONLY,
             RegimeLabel.UNUSED,
         )
 
     def test_noise_equal_to_v_is_unused(self):
-        labels = classify_regimes(np.array([2.0]), v=2.0, w=1.0)
-        assert labels == (RegimeLabel.UNUSED,)
+        self.assert_codes(classify_regimes(np.array([2.0]), v=2.0, w=1.0), [0])
 
     def test_noise_equal_to_w_is_contested(self):
-        labels = classify_regimes(np.array([1.5]), v=3.0, w=1.5)
-        assert labels == (RegimeLabel.CONTESTED,)
+        self.assert_codes(classify_regimes(np.array([1.5]), v=3.0, w=1.5), [2])
 
     def test_trichotomy_is_exhaustive(self):
         rng = np.random.default_rng(83)
         for _ in range(40):
             params = random_instance(rng)
             sol = solve_nash(params)
-            labels = classify_regimes(params.noise, sol.v, sol.w)
-            assert labels == sol.regimes
-            assert all(isinstance(lab, RegimeLabel) for lab in labels)
+            self.assert_codes(sol.codes, classify_regimes(params.noise, sol.v, sol.w))
+            assert sol.regimes == tuple(REGIME_LABELS[c] for c in sol.codes)
 
     def test_matches_scalar_rule_with_ties(self):
         def scalar(n, v, w):
             if n >= v:
-                return RegimeLabel.UNUSED
+                return 0
             if n > w:
-                return RegimeLabel.TX_ONLY
-            return RegimeLabel.CONTESTED
+                return 1
+            return 2
 
         rng = np.random.default_rng(89)
         for m in (1, 2, 7, 300):
@@ -224,9 +229,8 @@ class TestClassifyRegimes:
                     noise[idx] = (level, np.nextafter(level, 0.0), np.nextafter(level, 20.0))[
                         (i // 2) % 3
                     ]
-                labels = classify_regimes(noise, float(v), float(w))
-                assert type(labels) is tuple
-                assert labels == tuple(scalar(n, v, w) for n in noise)
+                codes = classify_regimes(noise, float(v), float(w))
+                self.assert_codes(codes, [scalar(n, v, w) for n in noise])
 
 
 class TestVerifyNash:
@@ -247,7 +251,7 @@ class TestVerifyNash:
             v=sol.v,
             w=sol.w,
             u=sol.u,
-            regimes=sol.regimes,
+            codes=sol.codes,
             value=sol.value,
         )
         report = verify_nash(symmetric2, perturbed)
@@ -314,11 +318,49 @@ class TestVerifyNash:
             v=sol.v,
             w=sol.w,
             u=sol.u,
-            regimes=sol.regimes,
+            codes=sol.codes,
             value=sol.value,
         )
         failures = verify_nash(asym3, moved).regime_failures
         assert any(f.startswith("channel 1: ") for f in failures), failures
+
+    @pytest.mark.parametrize(
+        "noise, tx, jam, expected",
+        [
+            # channel 3 is quieter than the game the candidate was solved for
+            ([1.0, 3.0, 6.0, 4.0], [2.0, 1.5, 0.25, 0.25], [0.5, 0.5, 0.0, 0.0],
+             ["channel 0: contested height 3.5 misses v",
+              "channel 1: TxOnly but jammed",
+              "channel 1: TxOnly height 5 misses v",
+              "channel 2: Unused but carries power",
+              "channel 3: labeled Unused, levels say TxOnly"]),
+            ([1.0, 3.0, 6.0, 6.0], [2.5, 1.0, 0.5, 0.0], [0.0, 0.5, 0.0, 0.5],
+             ["channel 0: contested height 3.5 misses v",
+              "channel 1: TxOnly but jammed",
+              "channel 2: Unused but carries power",
+              "channel 3: Unused but carries power"]),
+            # channel 1 is mislabeled, jammed and off height: one message
+            ([1.0, 1.5, 6.0, 6.0], [2.5, 1.5, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0],
+             ["channel 0: contested height 4 misses v",
+              "channel 1: labeled TxOnly, levels say Contested"]),
+        ],
+    )
+    def test_regime_failures_text_and_order(self, noise, tx, jam, expected):
+        # solved for noise [1, 3, 6, 6]: v = 4.5, w = 2, Contested, TxOnly,
+        # Unused, Unused; a mislabeled channel gets no further message
+        sol = solve_nash(make_params([1.0, 3.0, 6.0, 6.0], 4.0, 1.0))
+        candidate = dataclasses.replace(sol, tx=alloc(tx, 4.0), jam=alloc(jam, 1.0))
+        report = verify_nash(make_params(noise, 4.0, 1.0), candidate, deviations=0)
+        assert list(report.regime_failures) == expected
+        assert not report.ok
+
+    @pytest.mark.parametrize("codes", [[2], [2, 1], [2, 1, 0, 0], [[2, 1, 0]], [2, 1, 3], [2, 1, -1]])
+    def test_codes_other_than_m_regime_codes_rejected(self, asym3, codes):
+        # a short tuple of labels used to verify without checking the rest
+        sol = solve_nash(asym3)
+        bad = dataclasses.replace(sol, codes=np.array(codes, dtype=np.int8))
+        with pytest.raises(ValueError, match=r"codes of shape .* are not 3 regime codes"):
+            verify_nash(asym3, bad, deviations=0)
 
 
 class TestUniquenessProbe:
