@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Allocation, GameParams, require_feasible
+from .core import Allocation, GameParams, _readonly, require_feasible
 from .waterfill import EPS_SOLVE, water_fill
 
 __all__ = [
@@ -63,9 +63,7 @@ class JammerKktState:
     degenerate: bool = False
 
     def __post_init__(self) -> None:
-        lam = np.asarray(self.lambdas, dtype=float)
-        lam.setflags(write=False)
-        object.__setattr__(self, "lambdas", lam)
+        object.__setattr__(self, "lambdas", _readonly(np.asarray(self.lambdas, float)))
         if self.degenerate:
             if self.u != 0.0:
                 raise ValueError("degenerate state must carry u = 0")

@@ -57,6 +57,8 @@ _REQUIRED_FIELDS = _SCALARS + ("channels",)
 _KNOWN_FIELDS = _REQUIRED_FIELDS + ("noise_unit",)
 #: The most values one sweep solves: each is a solve_nash call and an output row.
 _MAX_SWEEP_STEPS = 10_000
+#: The most steps x M one sweep may hold: every row is kept until it is written.
+_MAX_SWEEP_ENTRIES = 2_000_000
 
 
 def _number(value: object, name: str) -> float:
@@ -448,8 +450,9 @@ def _vary_channel(key: str, m: int) -> int | None:
         return None
     if key.startswith("noise:"):
         suffix = key.split(":", 1)[1]
-        if suffix.isascii() and suffix.isdigit() and 1 <= int(suffix) <= m:
-            return int(suffix) - 1
+        k = suffix.lstrip("0") or "0"  # no int() of more digits than m has
+        if suffix.isascii() and suffix.isdigit() and len(k) <= len(str(m)) and 1 <= int(k) <= m:
+            return int(k) - 1
         raise ConfigError(f"unknown --vary key: {key} (channel index must be 1..{m})")
     raise ConfigError(f"unknown --vary key: {key}")
 
@@ -475,12 +478,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("--steps must be at least 2")
     if args.steps > _MAX_SWEEP_STEPS:
         raise ConfigError(f"--steps must be at most {_MAX_SWEEP_STEPS}")
+    if args.steps * base.m > _MAX_SWEEP_ENTRIES:
+        raise ConfigError(f"--steps times channels must be at most {_MAX_SWEEP_ENTRIES}")
     if args.from_ <= 0.0:
         raise ConfigError(f"--from must be positive when varying {args.vary}")
 
     rows = []
     all_ok = True
-    for value in np.linspace(args.from_, args.to, args.steps):
+    # near the float range, linspace overflows at its last point, then sets it to --to
+    with np.errstate(over="ignore"):
+        values = np.linspace(args.from_, args.to, args.steps)
+    for value in values:
         params = _sweep_params(base, args.vary, channel, float(value))
         sol = solve_nash(params)
         if args.verify:

@@ -7,18 +7,11 @@ with _fill_rows and utility_batch; run_dynamics steps with the two best
 responses and calls solve_nash only for the point that final_distance is
 measured against.
 
-* grid_minimax discretizes the jammer simplex and minimizes, over the grid,
-  the transmitter's exact best response: one water-fill over the floors
-  alpha_j*J_k + N_k.  The grid is enumerated in blocks of rows, all in NumPy
-  with no Python object per point: each block of points is unranked from its
-  lexicographic ranks.  A payoff lower bound, the rate of one fixed
-  transmitter allocation, then rules out every point of the block whose
-  bound already exceeds the best score so far; the rest are scored exactly,
-  with one row water-fill and one payoff evaluation.  Narrow grids come in
-  blocks of about 8192 entries; from 16 channels on a block has 512 rows.
-  Memory stays O(block) for any number of channels.  Minimizing the inner
-  maximum over the grid gives an upper bound on the game value that must sit
-  within a provable Lipschitz margin of the closed-form value.
+* grid_minimax minimizes the transmitter's exact best response over a grid
+  of the jammer simplex, walking the grid as a tree of prefixes and scoring
+  only the points a payoff lower bound cannot rule out, in memory O(chunk +
+  m*steps).  The grid minimum is an upper bound on the game value within a
+  provable Lipschitz margin.
 * run_dynamics repeats damped best responses and watches them contract onto
   the equilibrium.
 """
@@ -27,12 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .best_response import jam_best_response, tx_best_response
-from .core import Allocation, GameParams, require_feasible, utility_batch
+from .core import Allocation, GameParams, _readonly, require_feasible, utility_batch
 from .equilibrium import solve_nash
 from .waterfill import _fill_rows
 
@@ -56,22 +49,11 @@ EPS_STEP = 1e-9
 #: Most grid points a GridSpec may have.
 MAX_GRID_POINTS = 10_000_000
 
-# A block of grid points scored at once holds max(_GRID_BLOCK_ROWS,
-# _GRID_BLOCK_ENTRIES // m) rows.  On narrow grids about _GRID_BLOCK_ENTRIES
-# entries keep the fixed cost of each block (the unranking and
-# _payoff_bound's NumPy calls) small next to the work in it: flat 512-row
-# blocks took two to three times as long on such grids.  Of 2**9 to 2**15
-# entries, 2**13 timed best, or within the host's noise of the best, at 3
-# channels and resolution 201 and at 4 and resolution 41.
-# The unranking takes O(m) Python steps per block, so from m = 16 on the
-# blocks keep 512 rows rather than fewer.
-_GRID_BLOCK_ROWS = 512
-_GRID_BLOCK_ENTRIES = 2**13
+# _walk makes _CHUNK_ENTRIES children, or max(1, _CHUNK_ENTRIES // m) points, at a time.
+_CHUNK_ENTRIES = 2**13
 
-# grid_minimax scores a grid point unless its payoff lower bound exceeds the
-# cut by more than _PRUNE_RTOL * max(1, |cut|).  Both sides are sums of a few
-# logarithms, each rounded to about 1e-15 relative, so the margin only has
-# to absorb rounding.
+# A prefix is cut off when its least payoff bound exceeds the best score by more than
+# _PRUNE_RTOL * max(1, |best|); both are sums of logarithms, so this absorbs rounding.
 _PRUNE_RTOL = 1e-9
 
 
@@ -107,50 +89,6 @@ class GridSpec:
         return math.comb(self.resolution - 1 + self.m - 1, self.m - 1)
 
 
-def _grid_blocks(steps: int, m: int) -> Iterator[np.ndarray]:
-    """All m-vectors of nonnegative ints summing to ``steps``.
-
-    Yielded in lexicographic order as (B, m) int64 blocks of
-    max(_GRID_BLOCK_ROWS, _GRID_BLOCK_ENTRIES // m) rows, the last one
-    possibly shorter: about _GRID_BLOCK_ENTRIES entries on narrow grids, and
-    512 rows from m = 16 on.  Each block is built from its ranks
-    with NumPy, one coordinate at a time, by unranking the combinatorial
-    number system: with N(t, k) = C(t + k - 1, k - 1) points of sum t in k
-    coordinates, a point holds q = N(steps, m) - rank, and its first
-    coordinate is steps - t for the smallest t with N(t, k) >= q; the rest of
-    the point is the point of sum t in k - 1 coordinates holding
-    q - N(t - 1, k).  For k = 2 that t is q - 1, so no table is needed.  The
-    tables of N(t, k) for k >= 3 hold (m - 2) * (steps + 1) integers, at
-    most about half a block's worth on any grid GridSpec admits (the most is
-    at m = 3), so memory stays O(block) for every m.
-    """
-    total = math.comb(steps + m - 1, m - 1)
-    # tables[j] = [0, N(0, k), ..., N(steps, k)] for k = m - j, from m down to 3
-    tables = []
-    if m >= 3:
-        counts = np.arange(1, steps + 2, dtype=np.int64)  # N(t, 2) = t + 1
-        for _ in range(3, m + 1):
-            counts = np.cumsum(counts)
-            tables.append(np.concatenate(([0], counts)))
-        tables.reverse()
-    rows = max(_GRID_BLOCK_ROWS, _GRID_BLOCK_ENTRIES // m)
-    for start in range(0, total, rows):
-        stop = min(start + rows, total)
-        q = total - np.arange(start, stop, dtype=np.int64)
-        block = np.empty((stop - start, m), dtype=np.int64)
-        rem = steps
-        for j, padded in enumerate(tables):
-            t = np.searchsorted(padded, q) - 1
-            block[:, j] = rem - t
-            q = q - padded[t]
-            rem = t
-        if m >= 2:
-            block[:, m - 2] = rem - (q - 1)
-            rem = q - 1
-        block[:, m - 1] = rem
-        yield block
-
-
 @dataclass(frozen=True, eq=False)
 class GridMinimaxResult:
     """Outcome of the outer minimization over the jammer grid.
@@ -170,9 +108,7 @@ class GridMinimaxResult:
 
     def __post_init__(self) -> None:
         for name in ("jam", "tx"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), float)))
 
 
 def _grid_seed(params: GameParams, steps: int) -> np.ndarray:
@@ -200,25 +136,114 @@ def _grid_seed(params: GameParams, steps: int) -> np.ndarray:
     return point
 
 
-def _payoff_bound(
-    params: GameParams, tx: np.ndarray, block: np.ndarray, spacing: float
-) -> np.ndarray:
-    """Payoff of the fixed transmitter powers ``tx`` at each point of ``block``.
+def _bound_term(params: GameParams, tx: np.ndarray, spacing: float) -> Callable:
+    """g(k, i) = (1/2) log1p(alpha_t*tx_k / (alpha_j*spacing*i + N_k)), convex in i:
+    the payoff of ``tx`` at grid point i is sum_k g(k, i_k).  k and i are arrays."""
+    gain, per_step = params.alpha_t * tx, params.alpha_j * spacing
+    return lambda k, i: 0.5 * np.log1p(gain[k] / (per_step * i + params.noise[k]))
 
-    Row i gets (1/2) sum_k log1p(alpha_t*tx_k / (alpha_j*spacing*i_k + N_k)),
-    which is utility_batch(params, tx, i*spacing) up to rounding, from the
-    block's integer coordinates.  The sum is built one channel column at a
-    time over all rows; a channel without transmit power adds exactly
-    nothing and is skipped.
+
+def _min_plus(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """Row by row, min over a of head[a] + tail[r - a] for every r.
+
+    For convex rows the best split of r gives the head as many units as it
+    has slopes among the first r merged sorted slopes; each entry is one sum
+    at its split, so its rounding does not grow with r.  A running maximum
+    reorders slopes rounding left out of order; a slope between two infinite
+    terms counts as -inf, and a row with a NaN term is NaN (it cuts nothing).
     """
-    per_step = params.alpha_j * spacing
-    total = np.zeros(len(block))
-    for k in np.flatnonzero(tx > 0.0):
-        term = block[:, k] * per_step
-        term += params.noise[k]
-        np.divide(params.alpha_t * tx[k], term, out=term)
-        total += np.log1p(term, out=term)
-    return 0.5 * total
+    n, width = head.shape
+    with np.errstate(invalid="ignore"):
+        slopes = np.concatenate((np.diff(head), np.diff(tail)), axis=1)
+    slopes[np.isnan(slopes)] = -np.inf
+    for part in (slopes[:, : width - 1], slopes[:, width - 1 :]):
+        np.maximum.accumulate(part, axis=1, out=part)
+    # the stable sort puts a head slope before the tail slopes it equals
+    taken = np.argsort(slopes, axis=1, kind="stable")[:, : width - 1] < width - 1
+    split = np.pad(np.cumsum(taken, axis=1), ((0, 0), (1, 0)))
+    rows = np.arange(n)[:, np.newaxis]
+    low = head[rows, split] + tail[rows, np.arange(width) - split]
+    low[np.isnan(head).any(axis=1) | np.isnan(tail).any(axis=1)] = np.nan
+    return low
+
+
+def _completion_bound(term: Callable, steps: int, m: int) -> Callable:
+    """rest(j, r): the least sum of term(k, i_k) over k >= j with sum i_k = r.
+
+    For m >= 3 the tables D_1 .. D_(m-1), steps + 1 long, are a suffix scan
+    of _min_plus over the terms in log2(m) rounds, and D_m = 0.  At m = 2
+    the last term is evaluated in closed form: 10**7 steps need no table.
+    """
+    if m <= 2:
+        return lambda j, r: np.where(j == m - 1, term(m - 1, r), 0.0)
+    least = np.zeros((m, steps + 1))
+    least[:-1] = term(np.arange(1, m)[:, np.newaxis], np.arange(steps + 1))
+    for shift in (1 << e for e in range((m - 2).bit_length())):
+        least[: m - 1 - shift] = _min_plus(least[: m - 1 - shift], least[shift : m - 1])
+    return lambda j, r: least[j - 1, r]
+
+
+def _walk(
+    steps: int, m: int, term: Callable, rest: Callable, limit: Callable[[], float]
+) -> Iterator[np.ndarray]:
+    """The grid points the bound cannot rule out, in (B, m) int64 chunks.
+
+    A depth-first walk of a tree of nonzero coordinates, at most
+    min(steps, m - 1) deep: a child places i >= 1 of its parent's r steps
+    left at a later coordinate p, and is cut off with its subtree when the
+    sum of term over its coordinates (zeros included) plus rest(p + 1, r - i)
+    exceeds limit() (a NaN keeps it).  A child with no steps left, or p =
+    m - 2, is a grid point.  The points are not in lexicographic order.
+    """
+    if m == 1 or steps == 0:
+        yield np.array([[0] * (m - 1) + [steps]], dtype=np.int64)
+        return
+    rows = max(1, _CHUNK_ENTRIES // m)
+    zeros = np.concatenate(([0.0], np.cumsum(term(np.arange(m), 0))))
+    # stack[d]: prefixes with d nonzero coordinates: the last one's coordinate and value, the
+    # prefix extended (in stack[d - 1]), steps left, bound, first child, children made, all.
+    one = np.ones(1, dtype=np.int64)
+    stack = [[-one, one, one, steps * one, np.zeros(1), 0 * one, 0, (m - 1) * steps + 1]]
+    while stack:
+        pos, _, _, rem, low, first, start, total = level = stack[-1]
+        if start == total:
+            stack.pop()
+            continue
+        level[6] = min(start + _CHUNK_ENTRIES, total)
+        c = np.arange(start, level[6])
+        node = np.searchsorted(first[1:], c, side="right")
+        c -= first[node]
+        q, r = pos[node], rem[node]
+        # i from r down at each later p; the last child puts all r on m - 1
+        p, i = np.divmod(c, r)
+        q += 1
+        p += q
+        i = r - i
+        r -= i
+        b = zeros[p] - zeros[q]
+        b += low[node]
+        b += term(p, i)
+        kept = np.flatnonzero(~(rest(p + 1, r) + b > limit()))
+        if len(kept) < len(b):
+            node, p, i, r, b = node[kept], p[kept], i[kept], r[kept], b[kept]
+        leaf = (r == 0) | (p == m - 2)
+        done = np.flatnonzero(leaf)
+        for at in range(0, len(done), rows):
+            sel = done[at : at + rows]
+            points = np.zeros((len(sel), m), dtype=np.int64)
+            points[:, m - 1] = r[sel]  # then overwritten where p = m - 1
+            cells, rows_at = points.reshape(-1), np.arange(0, points.size, m)
+            cells[rows_at + p[sel]] = i[sel]
+            up = node[sel]
+            for coord, value, below, *_ in reversed(stack[1:]):
+                cells[rows_at + coord[up]] = value[up]
+                up = below[up]
+            yield points
+        grow = ~leaf
+        if grow.any():
+            p, i, node, r, b = p[grow], i[grow], node[grow], r[grow], b[grow]
+            counts = (m - 2 - p) * r + 1
+            stack.append([p, i, node, r, b, np.cumsum(counts) - counts, 0, counts.sum()])
 
 
 def grid_minimax(params: GameParams, spec: GridSpec) -> GridMinimaxResult:
@@ -238,72 +263,50 @@ def grid_minimax(params: GameParams, spec: GridSpec) -> GridMinimaxResult:
     checked.
 
     A point's score, the inner maximum, is at least the payoff of any
-    feasible transmitter allocation against it.  The allocation used is the
-    transmitter's water-fill against a seed: the grid point nearest the
-    equilibrium jammer, which the paper gives in closed form as a water-fill
-    of the jammer over the noise alone.  The cut is the lower of the seed's
-    exact score and the best exact score so far, so it is never below the
-    grid value.  A point whose bound exceeds the cut by more than a rounding
-    margin scores above the grid value and is skipped; every other point
-    (NaN bounds included) is scored exactly, block by block in lexicographic
-    order, with one row water-fill of alpha_t*T over the floors
-    alpha_j*J_k + N_k and one payoff evaluation.  Every point that attains
-    the grid value is scored (the margin covers the rounding of both sums),
-    so the result is the one an exhaustive scan gives.  A seed far from the
-    optimum only loosens the bound and leaves more points to score; it never
-    changes the answer.  ``n_points`` counts every grid point, skipped or
-    scored.
+    feasible transmitter allocation against it: here the water-fill against
+    the grid point nearest the paper's equilibrium jammer (a water-fill of
+    the noise alone), which is scored first.  _walk cuts off every prefix
+    whose least payoff bound exceeds the best score so far by more than a
+    rounding margin.  Each chunk of survivors is scored with one row
+    water-fill and one payoff evaluation; a tie is broken by comparing the
+    points, as in an exhaustive scan.  ``n_points`` counts every grid point.
     """
     if spec.m != params.m:
         raise ValueError("grid dimension does not match the game")
     steps = spec.resolution - 1
     spacing = params.j_budget / steps
     tx_budget = params.alpha_t * params.t_budget
+    best_value, best_point, best_jam, best_tx = math.inf, [], None, None  # no tie beats []
 
-    def score(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def visit(points: np.ndarray) -> np.ndarray:
+        nonlocal best_value, best_point, best_jam, best_tx
         jam = points * spacing
         _, fills = _fill_rows(params.alpha_j * jam + params.noise, tx_budget)
         tx = fills / params.alpha_t
-        return jam, tx, utility_batch(params, tx, jam)
+        inner = utility_batch(params, tx, jam)
+        k = int(np.argmin(inner))  # a NaN least score adds nothing
+        k = min(np.flatnonzero(inner == inner[k]), key=lambda t: points[t].tolist(), default=k)
+        if inner[k] < best_value or (inner[k] == best_value and points[k].tolist() < best_point):
+            best_value, best_point = float(inner[k]), points[k].tolist()
+            best_jam, best_tx = jam[k].copy(), tx[k].copy()
+        return tx
 
-    _, seed_tx, seed_value = score(_grid_seed(params, steps)[np.newaxis, :])
-    cut = float(seed_value[0])
+    seed_tx = visit(_grid_seed(params, steps)[np.newaxis, :])[0]
     # A budget below the float resolution of the floors can pour up to an
     # ulp of the level per channel, far more than the budget; scaled back
     # onto the budget the allocation is feasible, and its payoff a bound.
-    seed_tx = seed_tx[0]
     poured = float(seed_tx.sum())
     if poured > params.t_budget:
         seed_tx = seed_tx * (params.t_budget / poured)
-    best_value = math.inf
-    best_jam: np.ndarray | None = None
-    best_tx: np.ndarray | None = None
-    n_points = 0
-    for block in _grid_blocks(steps, spec.m):
-        n_points += len(block)
-        bound = _payoff_bound(params, seed_tx, block, spacing)
-        # not (bound > limit), so that a NaN bound keeps its row
-        kept = block[~(bound > cut + _PRUNE_RTOL * max(1.0, abs(cut)))]
-        if not len(kept):
-            continue
-        jam, tx, inner = score(kept)
-        k = int(np.argmin(inner))
-        # strict: an earlier block keeps a tie, and argmin keeps the first
-        if inner[k] < best_value:
-            best_value = float(inner[k])
-            best_jam = jam[k].copy()
-            best_tx = tx[k].copy()
-            cut = min(best_value, cut)
+    term = _bound_term(params, seed_tx, spacing)
+    limit = lambda: best_value + _PRUNE_RTOL * max(1, abs(best_value))
+    for points in _walk(steps, spec.m, term, _completion_bound(term, steps, spec.m), limit):
+        visit(points)
 
     lipschitz = params.m * params.alpha_j / (2.0 * float(params.noise.min()))
     return GridMinimaxResult(
-        value=best_value,
-        jam=best_jam,
-        tx=best_tx,
-        spacing=spacing,
-        lipschitz_bound=lipschitz,
-        gap_bound=spacing * lipschitz,
-        n_points=n_points,
+        value=best_value, jam=best_jam, tx=best_tx, spacing=spacing,
+        lipschitz_bound=lipschitz, gap_bound=spacing * lipschitz, n_points=spec.n_points,
     )
 
 
@@ -328,9 +331,7 @@ class DynamicsTrace:
 
     def __post_init__(self) -> None:
         for name in ("final_tx", "final_jam"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), float)))
 
 
 def run_dynamics(
@@ -382,11 +383,8 @@ def run_dynamics(
         tx_br, _ = tx_best_response(params, jam_alloc)
         new_tx = (1.0 - damping) * tx_powers + damping * tx_br.powers
         if alternating:
-            jam_br, _ = jam_best_response(
-                params, Allocation(powers=new_tx, budget=params.t_budget)
-            )
-        else:
-            jam_br, _ = jam_best_response(params, tx_alloc)
+            tx_alloc = Allocation(powers=new_tx, budget=params.t_budget)
+        jam_br, _ = jam_best_response(params, tx_alloc)
         new_jam = (1.0 - damping) * jam_powers + damping * jam_br.powers
 
         step = max(
@@ -402,13 +400,9 @@ def run_dynamics(
         float(np.max(np.abs(tx_powers - reference.tx.powers))),
         float(np.max(np.abs(jam_powers - reference.jam.powers))),
     )
+    value = float(utility_batch(params, tx_powers, jam_powers)[0])
     return DynamicsTrace(
-        final_tx=tx_powers,
-        final_jam=jam_powers,
-        final_value=float(utility_batch(params, tx_powers, jam_powers)[0]),
-        n_iters=n_iters,
-        damping=damping,
-        alternating=alternating,
-        converged=converged,
+        final_tx=tx_powers, final_jam=jam_powers, final_value=value, n_iters=n_iters,
+        damping=damping, alternating=alternating, converged=converged,
         final_distance=final_distance,
     )

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jamgame import (
@@ -654,7 +654,14 @@ class TestSweepCommand:
         )
         assert (code, out, err) == (2, "", "error: --from and --to must be finite\n")
 
-    @pytest.mark.parametrize("key", ["noise:\u00b2", "noise:\u0661", "noise:\uff11"])
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "noise:\u00b2", "noise:\u0661", "noise:\uff11",
+            # more digits than int() parses by default
+            pytest.param("noise:" + "1" * 5000, id="noise:5000-digits"),
+        ],
+    )
     def test_non_ascii_channel_index_exits_2(self, tmp_path, capsys, key):
         code, out, err = run_cli(
             capsys,
@@ -673,6 +680,25 @@ class TestSweepCommand:
         )
         assert (code, out) == (2, "")
         assert err == f"error: --steps must be at most {cli_module._MAX_SWEEP_STEPS}\n"
+
+    def test_steps_times_channels_beyond_cap_exits_2(self, tmp_path, capsys, monkeypatch):
+        # rejected before any solve: every row is kept until it is written
+        def no_solve(params):
+            raise AssertionError("a sweep beyond the cap must not solve")
+
+        monkeypatch.setattr(cli_module, "solve_nash", no_solve)
+        m = cli_module._MAX_SWEEP_ENTRIES // cli_module._MAX_SWEEP_STEPS + 1
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--config", write_config(tmp_path, channels=[1.0] * m),
+            "--vary", "t_budget", "--from", "1", "--to", "2",
+            "--steps", str(cli_module._MAX_SWEEP_STEPS),
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: --steps times channels must be at most "
+            f"{cli_module._MAX_SWEEP_ENTRIES}\n"
+        )
 
     def test_steps_at_cap_runs(self, tmp_path, capsys):
         code, out, _ = run_cli(
@@ -709,6 +735,8 @@ class TestSweepCommand:
                              "100000000000000000000", "9" * 5000, "\u0663", "1e3", ""]),
         ),
     )
+    # linspace overflowed at its last point, and warned, before setting it to --to
+    @example(key="t_budget", bounds=["1.0", "1.7976931348623157e+308"], steps="4")
     @settings(max_examples=300, deadline=None)
     def test_adversarial_arguments_keep_the_exit_contract(
         self, three_regime_config, key, bounds, steps

@@ -20,14 +20,16 @@ from jamgame import (
 from jamgame import equilibrium, oracle
 from jamgame.core import BUDGET_RTOL, utility_batch
 from jamgame.oracle import (
-    _GRID_BLOCK_ENTRIES,
-    _GRID_BLOCK_ROWS,
+    _CHUNK_ENTRIES,
+    _PRUNE_RTOL,
     EPS_DYN,
     MAX_GRID_POINTS,
     DynamicsTrace,
-    _grid_blocks,
+    _bound_term,
+    _completion_bound,
     _grid_seed,
-    _payoff_bound,
+    _min_plus,
+    _walk,
 )
 from jamgame.waterfill import _fill_rows
 
@@ -35,27 +37,63 @@ from conftest import alloc, make_params, random_instance, simplex_grid
 
 
 def block_rows(m):
-    """Rows per _grid_blocks block on an m-channel grid (the last may be short)."""
-    return max(_GRID_BLOCK_ROWS, _GRID_BLOCK_ENTRIES // m)
+    """Most children, or grid points, in one _walk chunk on an m-channel grid."""
+    return max(1, _CHUNK_ENTRIES // m)
 
 
-def combinations_blocks(steps, m):
-    """The grid enumerated through itertools.combinations, in the same blocks.
+def combinations_blocks(steps, m, rows=4096):
+    """The grid enumerated through itertools.combinations, in blocks of rows.
 
     Stars and bars: each choice of m - 1 bar positions among steps + m - 1
     slots is one point, and the counts between consecutive bars are its
     coordinates; combinations come in lexicographic order, and so do the
-    points.  One Python tuple per point: the reference _grid_blocks must
-    reproduce exactly.
+    points.  One Python tuple per point, sharing no code with _walk.
     """
     slots = steps + m - 1
     bars = itertools.combinations(range(slots), m - 1)
     while True:
-        chunk = list(itertools.islice(bars, block_rows(m)))
+        chunk = list(itertools.islice(bars, rows))
         if not chunk:
             return
         cuts = np.array(chunk, dtype=np.int64).reshape(len(chunk), m - 1)
         yield np.diff(cuts, axis=1, prepend=-1, append=slots) - 1
+
+
+def zero_term(k, i):
+    return np.zeros(np.broadcast(k, i).shape)
+
+
+def unpruned_walk(steps, m):
+    """Every chunk _walk yields when its bound rules nothing out."""
+    return _walk(steps, m, zero_term, zero_term, lambda: math.inf)
+
+
+def exhaustive_grid_minimax(params, blocks, steps):
+    """grid_minimax by scoring every point of ``blocks`` (lexicographic order).
+
+    Whole blocks go through _fill_rows and utility_batch, whose rows do not
+    depend on their block, and the first least score wins.  The water level
+    does not depend on the order of the channels, so the floors go in noise
+    order, which the stable sort takes in near-linear time when few channels
+    are jammed; the fills are then max(level - floor, 0), as in _fill_rows.
+    """
+    spacing = params.j_budget / steps
+    order = np.argsort(params.noise)
+    best = (math.inf, None, None)
+    for block in blocks:
+        jam = block * spacing
+        floors = params.alpha_j * jam + params.noise
+        level, _ = _fill_rows(floors[:, order], params.alpha_t * params.t_budget)
+        tx = np.maximum(level[:, np.newaxis] - floors, 0.0) / params.alpha_t
+        inner = utility_batch(params, tx, jam)
+        k = int(np.argmin(inner))
+        if inner[k] < best[0]:
+            best = (float(inner[k]), jam[k], tx[k])
+    return best
+
+
+def lexicographic(points):
+    return points[np.lexsort(points.T[::-1])]
 
 
 def per_point_grid_minimax(params, resolution):
@@ -106,14 +144,14 @@ class TestGridSpec:
         for resolution, m in [(5, 2), (7, 3), (4, 4), (11, 1), (2, 5), (101, 3), (5000, 2)]:
             steps = resolution - 1
             spec = GridSpec(resolution=resolution, m=m)
-            blocks = list(_grid_blocks(steps, m))
+            blocks = list(unpruned_walk(steps, m))
             assert all(0 < len(block) <= block_rows(m) for block in blocks)
             points = np.vstack(blocks)
             assert spec.n_points == len(points)
-            # lexicographic order, no duplicates: the same sequence as the
-            # independent enumeration (unit spacing keeps the points integers)
+            # no duplicates: sorted, the same sequence as the independent
+            # enumeration (unit spacing keeps the points integers)
             reference = np.array(list(simplex_grid(float(steps), m, resolution)))
-            np.testing.assert_array_equal(points, reference)
+            np.testing.assert_array_equal(lexicographic(points), reference)
 
     @pytest.mark.parametrize("resolution, m", [(2, 1), (9, 2), (41, 3), (13, 4)])
     def test_grid_points_feasible_by_construction(self, resolution, m):
@@ -121,7 +159,7 @@ class TestGridSpec:
         rng = np.random.default_rng(resolution * 10 + m)
         for j_budget in rng.uniform(0.01, 100.0, size=5):
             spacing = j_budget / (resolution - 1)
-            for block in _grid_blocks(resolution - 1, m):
+            for block in unpruned_walk(resolution - 1, m):
                 jam = block * spacing
                 assert np.all(jam >= 0.0)
                 sums = jam.sum(axis=1)
@@ -152,32 +190,32 @@ class TestGridSpec:
 
 
 class TestGridBlocks:
+    """_walk with nothing ruled out: every grid point once, in bounded chunks."""
+
     @staticmethod
     def assert_same_blocks(steps, m):
-        blocks = list(_grid_blocks(steps, m))
-        reference = list(combinations_blocks(steps, m))
+        blocks = list(unpruned_walk(steps, m))
         assert all(0 < len(block) <= block_rows(m) for block in blocks)
-        # the same points in the same blocks, so grid_minimax sees the same
-        # (B, m) arrays and its result cannot move
-        assert [block.shape for block in blocks] == [block.shape for block in reference]
-        for block, expect in zip(blocks, reference):
-            assert block.dtype == expect.dtype
-            np.testing.assert_array_equal(block, expect)
+        assert all(block.dtype == np.int64 and block.shape[1] == m for block in blocks)
+        # the same points as the reference, each once, so grid_minimax can
+        # only skip a point the bound rules out
+        points = lexicographic(np.vstack(blocks))
+        np.testing.assert_array_equal(points, np.vstack(list(combinations_blocks(steps, m))))
 
     @pytest.mark.parametrize(
         "steps, m",
         [
             (0, 1), (7, 1), (0, 4), (1, 2), (1, 7), (1023, 2), (3000, 2),
-            # block edges cut the first coordinate's subtrees at m = 3
+            # chunk edges cut the first coordinate's subtrees at m = 3
             (1500, 3),
-            # m = 2 over several blocks, ending on a full and a partial block
+            # the root's children over several chunks at m = 2, ending on a
+            # full and a partial chunk
             (2 * block_rows(2) - 1, 2), (3 * block_rows(2), 2),
             # the first coordinate's subtree (C(steps + 2, 2) points at m = 4)
-            # alone spans several blocks
+            # alone spans several chunks
             (100, 4),
             (200, 3), (40, 4), (18, 5), (12, 6),
-            # m >= _GRID_BLOCK_ENTRIES / _GRID_BLOCK_ROWS: 512-row blocks,
-            # over several of them at (3, 16) and (2, 40)
+            # wide rows: few children per chunk, a deep stack
             (1, 40), (2, 20), (3, 16), (2, 40),
         ],
     )
@@ -193,11 +231,11 @@ class TestGridBlocks:
 
     @pytest.mark.parametrize("steps, m", [(10**6, 2), (4000, 3), (100, 5)])
     def test_memory_flat(self, steps, m):
-        # O(block) for every m: a whole-range tuple or table at (10**6, 2)
-        # would take 8 MB or more
+        # O(chunk) when nothing is ruled out: a whole-range array at
+        # (10**6, 2) would take 8 MB or more
         tracemalloc.start()
         try:
-            n_points = sum(len(block) for block in _grid_blocks(steps, m))
+            n_points = sum(len(block) for block in unpruned_walk(steps, m))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -282,8 +320,8 @@ class TestGridMinimax:
          ([1.0] * 4, 1.0, 2.0, 5), ([3.0, 3.0, 3.0], 1.0, 1.0, 2),
          ([1.0, 1.0], 2.0, 1.0, 1024),
          # the two tied minimizers (rows - 1, rows) and (rows, rows - 1), in
-         # grid units, sit in different blocks; the first block must keep
-         # its point
+         # grid units, sit in different chunks; the lexicographically
+         # smaller one must win
          ([1.0, 1.0], 2.0, 1.0, 2 * block_rows(2))],
     )
     def test_equal_noise_ties_match_reference(self, noise, t_budget, j_budget, resolution):
@@ -291,7 +329,7 @@ class TestGridMinimax:
 
     def test_minimum_beyond_first_block_matches_reference(self):
         # the jammer piles onto the quiet first channel, so the grid optimum
-        # sits late in lexicographic order, past the first block
+        # sits late in lexicographic order, past the first chunk
         params = make_params([0.5, 3.0, 3.0], 2.0, 3.0)
         resolution = 81
         assert GridSpec(resolution=resolution, m=3).n_points > block_rows(3)
@@ -308,15 +346,14 @@ class TestGridMinimax:
         assert result.n_points == n_points
         return index
 
-    @given(game=grid_games(), block_rows=st.sampled_from([None, 1, 5, 64]))
+    @given(game=grid_games(), chunk_entries=st.sampled_from([None, 1, 5, 64]))
     @settings(max_examples=300, deadline=None)
-    def test_pruned_scan_matches_per_point_reference(self, game, block_rows):
+    def test_pruned_scan_matches_per_point_reference(self, game, chunk_entries):
         params, resolution = game
         with pytest.MonkeyPatch.context() as patch:
-            if block_rows is not None:
-                # many small blocks, so the cut moves from block to block
-                patch.setattr(oracle, "_GRID_BLOCK_ROWS", block_rows)
-                patch.setattr(oracle, "_GRID_BLOCK_ENTRIES", 0)
+            if chunk_entries is not None:
+                # many small chunks, so the cut moves from chunk to chunk
+                patch.setattr(oracle, "_CHUNK_ENTRIES", chunk_entries)
             self._assert_matches_reference(params, resolution)
 
     def test_one_channel_at_int64_resolution(self):
@@ -338,7 +375,7 @@ class TestGridMinimax:
 
 
 class TestGridPrune:
-    """The payoff bound skips grid points; it must never change the answer."""
+    """The payoff bound cuts off grid points; it must never change the answer."""
 
     CASES = [
         # the optimum lies past the first block
@@ -364,11 +401,11 @@ class TestGridPrune:
         self.assert_cases_match_reference()
 
     def test_zero_bound_allocation_changes_nothing(self, monkeypatch):
-        # no transmit power bounds every point by 0, so no point is skipped
-        def zero_bound(params, tx, block, spacing):
-            return _payoff_bound(params, np.zeros_like(tx), block, spacing)
+        # no transmit power makes every g_k zero, so no prefix is cut off
+        def zero_terms(params, tx, spacing):
+            return _bound_term(params, np.zeros_like(tx), spacing)
 
-        monkeypatch.setattr(oracle, "_payoff_bound", zero_bound)
+        monkeypatch.setattr(oracle, "_bound_term", zero_terms)
         self.assert_cases_match_reference()
 
     def test_seed_pour_beyond_the_budget_is_scaled_back(self):
@@ -403,12 +440,13 @@ class TestGridPrune:
             params = random_instance(rng, m)
             steps = int(rng.integers(1, max_steps + 1))
             tx = sample_simplex(rng, 1, m, params.t_budget)[0]
-            # channels without transmit power are skipped
+            # channels without transmit power add nothing
             tx[rng.random(m) < 0.3] = 0.0
             spacing = params.j_budget / steps
-            for block in _grid_blocks(steps, m):
+            term = _bound_term(params, tx, spacing)
+            for block in combinations_blocks(steps, m):
                 np.testing.assert_allclose(
-                    _payoff_bound(params, tx, block, spacing),
+                    sum(term(k, block[:, k]) for k in range(m)),
                     utility_batch(params, tx, block * spacing),
                     rtol=1e-12,
                     atol=0.0,
@@ -437,6 +475,129 @@ class TestGridPrune:
         assert seed.shape == (len(noise),)
         assert np.all(seed >= 0)
         assert int(seed.sum()) == steps
+
+    @given(
+        game=grid_games(),
+        steps=st.integers(1, 8),
+        silent=st.lists(st.booleans(), min_size=5, max_size=5),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_completion_bound_is_the_least_completion(self, game, steps, silent):
+        # D_j(r) against a brute-force min-plus over every completion
+        params, _ = game
+        m = params.m
+        tx = np.full(m, params.t_budget / m)
+        tx[np.array(silent[:m])] = 0.0
+        term = _bound_term(params, tx, params.j_budget / steps)
+        rest = _completion_bound(term, steps, m)
+        table = [term(k, np.arange(steps + 1)).tolist() for k in range(m)]
+        for j in range(1, m + 1):
+            for r in range(steps + 1 if j < m else 1):
+                least = math.inf
+                for head in itertools.product(range(r + 1), repeat=max(0, m - 1 - j)):
+                    if sum(head) <= r:
+                        point = (*head, r - sum(head))[: m - j]
+                        least = min(least, sum(table[j + n][x] for n, x in enumerate(point)))
+                got = float(rest(np.array([j]), np.array([r]))[0])
+                assert got == least or abs(got - least) <= _PRUNE_RTOL * max(1.0, abs(least))
+
+    def test_min_plus_of_overflowed_and_nan_terms(self):
+        # a term that overflowed at small i is +inf there; NaN cuts nothing
+        head = np.array([[np.inf, np.inf, 1.0, 0.5], [np.nan, 1.0, 0.5, 0.25]])
+        tail = np.array([[np.inf, 2.0, 1.0, 0.8], [3.0, 2.0, 1.5, 1.25]])
+        low = _min_plus(head, tail)
+        brute = [min(head[0, a] + tail[0, r - a] for a in range(r + 1)) for r in range(4)]
+        np.testing.assert_array_equal(low[0], brute)
+        assert np.isnan(low[1]).all()
+
+
+class TestWideGrid:
+    """Memory O(chunk + m * steps), whatever the bound rules out."""
+
+    @staticmethod
+    def traced(params, spec):
+        tracemalloc.start()
+        try:
+            result = grid_minimax(params, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return result, peak
+
+    @staticmethod
+    def vertices(m, rows=16):
+        # small blocks of wide rows stay in cache
+        for start in range(0, m, rows):
+            block = np.zeros((min(rows, m - start), m), dtype=np.int64)
+            block[np.arange(len(block)), m - 1 - start - np.arange(len(block))] = 1
+            yield block
+
+    @staticmethod
+    def assert_same(result, value, jam, tx):
+        assert result.value == value
+        assert result.jam.tobytes() == jam.tobytes()
+        assert result.tx.tobytes() == tx.tobytes()
+
+    def test_resolution_two_on_4096_channels(self):
+        # far below one 512-row block of 4096 channels (16 MB per array)
+        rng = np.random.default_rng(4096)
+        params = make_params(rng.uniform(0.5, 8.0, 4096), 4096.0, 1.0)
+        result, peak = self.traced(params, GridSpec(resolution=2, m=4096))
+        assert peak < 10_000_000
+        # the grid is the 4096 vertices, e_4095 first in lexicographic order
+        self.assert_same(result, *exhaustive_grid_minimax(params, self.vertices(4096), 1))
+        assert result.n_points == 4096
+
+    def test_million_steps_on_two_channels(self):
+        params = make_params([1.0, 3.0], 2.0, 3.0, alpha_t=1.2, alpha_j=0.8)
+        result, peak = self.traced(params, GridSpec(resolution=10**6 + 1, m=2))
+        assert peak < 2_000_000
+        assert result.n_points == 10**6 + 1
+
+    @pytest.mark.parametrize("resolution, m", [(10**5 + 1, 2), (301, 3)])
+    def test_no_bound_scores_every_point_in_chunks(self, monkeypatch, resolution, m):
+        # a transmitter allocation of zeros bounds nothing, and a NaN seed
+        # score leaves no cut until the first chunk is scored: every grid
+        # point is then scored, a chunk at a time
+        params = random_instance(np.random.default_rng(resolution), m)
+        spec = GridSpec(resolution=resolution, m=m)
+        expect = grid_minimax(params, spec)
+        scored = []
+
+        def nan_seed(params, tx, jam):
+            inner = utility_batch(params, tx, jam)
+            scored.append(len(inner))
+            return inner if len(scored) > 1 else np.full_like(inner, np.nan)
+
+        monkeypatch.setattr(oracle, "utility_batch", nan_seed)
+        monkeypatch.setattr(
+            oracle, "_bound_term", lambda params, tx, spacing: zero_term
+        )
+        result, peak = self.traced(params, spec)
+        assert peak < 2_000_000
+        assert sum(scored) == 1 + spec.n_points
+        assert max(scored) <= block_rows(m)
+        self.assert_same(result, expect.value, expect.jam, expect.tx)
+
+    def test_loose_bound_game_scores_no_more_points(self, monkeypatch):
+        # grid-oracle seed 1303: the bound of this game is loose, and the
+        # block enumeration scored 1510 of its 12 341 points
+        params = make_params(
+            [5.819804621158037, 3.8801810638609613, 1.9690345469675015, 4.425499756903905],
+            0.6008941005765328, 4.8726681332942166,
+            alpha_t=1.746313644075596, alpha_j=1.937273903770715,
+        )
+        rows = []
+
+        def counting(floors, budget):
+            rows.append(len(floors))
+            return _fill_rows(floors, budget)
+
+        monkeypatch.setattr(oracle, "_fill_rows", counting)
+        result = grid_minimax(params, GridSpec(resolution=41, m=4))
+        # the seed's fill and score, then the points the bound keeps
+        assert sum(rows) - 2 <= 1510
+        self.assert_same(result, *exhaustive_grid_minimax(params, combinations_blocks(40, 4), 40))
 
 
 class TestSaddleProbe:
