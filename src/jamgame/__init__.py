@@ -18,14 +18,13 @@ from .best_response import (
     kkt_report,
     tx_best_response,
 )
-from .core import Allocation, ChannelSet, GameParams, sample_simplex, utility, utility_batch
+from .core import Allocation, GameParams, sample_simplex, utility, utility_batch
 from .equilibrium import RegimeLabel, saddle_probe, solve_nash, verify_nash
 from .oracle import GridSpec, grid_minimax, run_dynamics
 from .waterfill import water_fill
 
 __all__ = [
     "Allocation",
-    "ChannelSet",
     "GameParams",
     "GridSpec",
     "JammerKktState",

@@ -25,7 +25,6 @@ import numpy as np
 from .best_response import jam_best_response, kkt_report, tx_best_response
 from .core import (
     Allocation,
-    ChannelSet,
     GameParams,
     require_feasible,
     sample_simplex,
@@ -119,13 +118,7 @@ def load_config(path: str) -> GameParams:
             raise ConfigError(f"channels[{k}] must be positive")
         noise.append(value)
 
-    return GameParams(
-        channels=ChannelSet(
-            noise=np.array(noise), alpha_t=scalars["alpha_t"], alpha_j=scalars["alpha_j"]
-        ),
-        t_budget=scalars["t_budget"],
-        j_budget=scalars["j_budget"],
-    )
+    return GameParams(noise=np.array(noise), **scalars)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +457,7 @@ def _sweep_params(
         return replace(params, **{key: value})
     noise = params.noise.copy()
     noise[channel] = value
-    return replace(params, channels=replace(params.channels, noise=noise))
+    return replace(params, noise=noise)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -4,6 +4,9 @@ Two players split fixed power budgets across M parallel Gaussian channels:
 the transmitter maximizes her aggregate rate, the jammer (whose signal the
 receiver treats as extra noise) minimizes it.  The rate is the zero-sum
 payoff.  All powers are linear units; rates are nats per channel use.
+
+One flat record, GameParams, fixes a game: the noise powers, the two
+attenuations and the two budgets.  Allocation is one player's power split.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import numpy as np
 __all__ = [
     "BUDGET_RTOL",
     "Allocation",
-    "ChannelSet",
     "GameParams",
     "require_feasible",
     "sample_simplex",
@@ -48,16 +50,19 @@ def _positive_scalar(value, name: str) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class ChannelSet:
-    """Per-channel noise powers plus the two link attenuations.
+class GameParams:
+    """One game: per-channel noise powers, both attenuations, both budgets.
 
     ``noise[k]`` is the AWGN power on channel k; ``alpha_t`` and ``alpha_j``
-    attenuate the transmitter and jammer signals on every channel alike.
+    attenuate the transmitter and jammer signals on every channel alike;
+    ``t_budget`` and ``j_budget`` are the players' total powers.
     """
 
     noise: np.ndarray
     alpha_t: float
     alpha_j: float
+    t_budget: float
+    j_budget: float
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "noise", _vector(self.noise, "noise"))
@@ -65,43 +70,12 @@ class ChannelSet:
             raise ValueError("noise must contain at least one channel")
         if not np.all(np.isfinite(self.noise)) or np.any(self.noise <= 0.0):
             raise ValueError("every noise power must be finite and positive")
-        object.__setattr__(self, "alpha_t", _positive_scalar(self.alpha_t, "alpha_t"))
-        object.__setattr__(self, "alpha_j", _positive_scalar(self.alpha_j, "alpha_j"))
+        for name in ("alpha_t", "alpha_j", "t_budget", "j_budget"):
+            object.__setattr__(self, name, _positive_scalar(getattr(self, name), name))
 
     @property
     def m(self) -> int:
         return int(self.noise.size)
-
-
-@dataclass(frozen=True, eq=False)
-class GameParams:
-    """A channel set together with both players' total power budgets."""
-
-    channels: ChannelSet
-    t_budget: float
-    j_budget: float
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.channels, ChannelSet):
-            raise ValueError("channels must be a ChannelSet")
-        object.__setattr__(self, "t_budget", _positive_scalar(self.t_budget, "t_budget"))
-        object.__setattr__(self, "j_budget", _positive_scalar(self.j_budget, "j_budget"))
-
-    @property
-    def m(self) -> int:
-        return self.channels.m
-
-    @property
-    def noise(self) -> np.ndarray:
-        return self.channels.noise
-
-    @property
-    def alpha_t(self) -> float:
-        return self.channels.alpha_t
-
-    @property
-    def alpha_j(self) -> float:
-        return self.channels.alpha_j
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,10 +94,6 @@ class Allocation:
     def __post_init__(self) -> None:
         object.__setattr__(self, "powers", _vector(self.powers, "powers"))
         object.__setattr__(self, "budget", float(self.budget))
-
-    @property
-    def m(self) -> int:
-        return int(self.powers.size)
 
 
 def require_feasible(alloc: Allocation, budget: float, m: int, who: str) -> None:

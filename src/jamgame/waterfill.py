@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _readonly
+
 __all__ = [
     "EPS_SOLVE",
     "LevelCheck",
@@ -45,9 +47,7 @@ class WaterSolution:
 
     def __post_init__(self) -> None:
         for name, dtype in (("fills", float), ("active", np.intp)):
-            arr = np.asarray(getattr(self, name), dtype=dtype)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), dtype)))
 
 
 def _check_floors(floors) -> np.ndarray:

@@ -12,16 +12,16 @@ import sys
 import numpy as np
 import pytest
 
-from jamgame import Allocation, ChannelSet, GameParams
+from jamgame import Allocation, GameParams
 from jamgame.best_response import jam_closed_form
 from jamgame.core import require_feasible
 
 
 def make_params(noise, t_budget, j_budget, alpha_t=1.0, alpha_j=1.0) -> GameParams:
     return GameParams(
-        channels=ChannelSet(
-            noise=np.array(noise, dtype=float), alpha_t=alpha_t, alpha_j=alpha_j
-        ),
+        noise=np.array(noise, dtype=float),
+        alpha_t=alpha_t,
+        alpha_j=alpha_j,
         t_budget=t_budget,
         j_budget=j_budget,
     )

@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,6 @@ from hypothesis import strategies as st
 
 from jamgame import (
     Allocation,
-    ChannelSet,
     GameParams,
     RegimeLabel,
     solve_nash,
@@ -109,11 +109,9 @@ def solution_from_record(record: dict) -> tuple[GameParams, NashSolution]:
     """Rebuild (GameParams, NashSolution) from a nash JSON record."""
     cfg = record["config"]
     params = GameParams(
-        channels=ChannelSet(
-            noise=np.array(cfg["channels"], dtype=float),
-            alpha_t=cfg["alpha_t"],
-            alpha_j=cfg["alpha_j"],
-        ),
+        noise=np.array(cfg["channels"], dtype=float),
+        alpha_t=cfg["alpha_t"],
+        alpha_j=cfg["alpha_j"],
         t_budget=cfg["t_budget"],
         j_budget=cfg["j_budget"],
     )
@@ -206,16 +204,30 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize(
         "overrides, name",
-        [({"t_budget": 10**400}, "t_budget"), ({"channels": [1.0, 10**400]}, "channels[1]")],
-        ids=["scalar", "channel"],
+        [
+            ({"t_budget": 10**400}, "t_budget"),
+            ({"channels": [1.0, 10**400]}, "channels[1]"),
+            ({"t_budget": math.inf}, "t_budget"),
+            ({"channels": [1.0, math.nan]}, "channels[1]"),
+        ],
+        ids=["scalar", "channel", "scalar-inf", "channel-nan"],
     )
     def test_integer_beyond_float_range_rejected(self, tmp_path, capsys, overrides, name):
-        # json reads the 401-digit integer exactly; float() of it overflows
+        # json reads the 401-digit integer exactly, and float() of it
+        # overflows; json writes and reads inf and nan as Infinity and NaN
         path = write_config(tmp_path, **overrides)
         with pytest.raises(ConfigError, match=rf"^{re.escape(name)} must be finite$"):
             load_config(path)
         code, out, err = run_cli(capsys, "nash", "--config", path)
         assert (code, out, err) == (2, "", f"error: {name} must be finite\n")
+
+    def test_non_object_config_rejected(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps([1.0, 1.0]))
+        with pytest.raises(ConfigError, match="^config must be a JSON object$"):
+            load_config(str(path))
+        code, out, err = run_cli(capsys, "nash", "--config", str(path))
+        assert (code, out, err) == (2, "", "error: config must be a JSON object\n")
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -792,6 +804,24 @@ class TestDeterminismAndGoldens:
         assert code == 0
         assert out == (GOLDEN / "sweep_m2.csv").read_text()
 
+    def test_sweep_verify_keeps_the_golden_bytes(self, tmp_path, capsys):
+        code, out, _ = run_cli(capsys, *golden_argv(tmp_path, "sweep_m2.csv"), "--verify")
+        assert code == 0
+        assert out == (GOLDEN / "sweep_m2.csv").read_text()
+
+    def test_sweep_verify_failure_exits_3_with_every_row(self, tmp_path, capsys, monkeypatch):
+        # the verifier fails the second row only; every row is still written
+        calls = []
+
+        def failing_second(params, sol):
+            calls.append(params.j_budget)
+            return replace(verify_nash(params, sol), ok=len(calls) != 2)
+
+        monkeypatch.setattr(cli_module, "verify_nash", failing_second)
+        code, out, _ = run_cli(capsys, *golden_argv(tmp_path, "sweep_m2.csv"), "--verify")
+        assert code == 3
+        assert out == (GOLDEN / "sweep_m2.csv").read_text()
+
     @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
     def test_golden_file(self, tmp_path, capsys, name):
         code, out, _ = run_cli(capsys, *golden_argv(tmp_path, name))
@@ -813,6 +843,15 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate", "--config", "x.json"])
         assert excinfo.value.code == 2
+
+    def test_console_entry_exits_with_the_code_of_main(self, tmp_path, capsys, monkeypatch):
+        # run() is what the installed `jamgame` script calls
+        for j_budget, expected in ((1.0, 0), (0.0, 2)):
+            path = write_config(tmp_path, j_budget=j_budget)
+            monkeypatch.setattr(sys, "argv", ["jamgame", "nash", "--config", path])
+            with pytest.raises(SystemExit) as excinfo:
+                cli_module.run()
+            assert excinfo.value.code == expected
 
 
 @pytest.fixture

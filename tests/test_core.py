@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from jamgame import (
     Allocation,
-    ChannelSet,
     GameParams,
     sample_simplex,
     utility,
@@ -18,33 +17,45 @@ from jamgame.core import BUDGET_RTOL, require_feasible
 from conftest import alloc, make_params, rate
 
 
+#: One valid game; each TestTypes case spoils some of its fields.
+GAME = {"noise": [1.0], "alpha_t": 1.0, "alpha_j": 1.0, "t_budget": 1.0, "j_budget": 1.0}
+
+
 class TestTypes:
     def test_channelset_rejects_empty_noise(self):
-        with pytest.raises(ValueError):
-            ChannelSet(noise=np.array([]), alpha_t=1.0, alpha_j=1.0)
+        with pytest.raises(ValueError, match="^noise must contain at least one channel$"):
+            GameParams(**{**GAME, "noise": np.array([])})
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
-    def test_channelset_rejects_bad_noise(self, bad):
-        with pytest.raises(ValueError):
-            ChannelSet(noise=np.array([1.0, bad]), alpha_t=1.0, alpha_j=1.0)
+    @pytest.mark.parametrize(
+        "noise, message",
+        [([1.0, bad], "every noise power must be finite and positive")
+         for bad in (0.0, -1.0, math.nan, math.inf)]
+        + [([[1.0], [2.0]], "noise must be a one-dimensional vector")],
+        ids=["0.0", "-1.0", "nan", "inf", "2-D"],
+    )
+    def test_channelset_rejects_bad_noise(self, noise, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GameParams(**{**GAME, "noise": np.array(noise)})
 
     @pytest.mark.parametrize("field", ["alpha_t", "alpha_j"])
     @pytest.mark.parametrize("bad", [0.0, -0.5, math.nan])
     def test_channelset_rejects_bad_attenuation(self, field, bad):
-        kwargs = {"noise": np.array([1.0]), "alpha_t": 1.0, "alpha_j": 1.0, field: bad}
-        with pytest.raises(ValueError, match=field):
-            ChannelSet(**kwargs)
+        with pytest.raises(ValueError, match=f"^{field} must be finite and positive$"):
+            GameParams(**{**GAME, field: bad})
 
     @pytest.mark.parametrize("field", ["t_budget", "j_budget"])
     def test_gameparams_requires_positive_budgets(self, field):
-        kwargs = {
-            "channels": ChannelSet(noise=np.array([1.0]), alpha_t=1.0, alpha_j=1.0),
-            "t_budget": 1.0,
-            "j_budget": 1.0,
-            field: 0.0,
-        }
-        with pytest.raises(ValueError, match=field):
-            GameParams(**kwargs)
+        with pytest.raises(ValueError, match=f"^{field} must be finite and positive$"):
+            GameParams(**{**GAME, field: 0.0})
+
+    def test_checks_run_in_field_order(self):
+        # with every field from one on spoiled, the message names that field
+        names = list(GAME)
+        for i, name in enumerate(names):
+            spoiled = {**GAME, **{later: 0.0 for later in names[i + 1 :]}}
+            spoiled[name] = np.array([]) if name == "noise" else -1.0
+            with pytest.raises(ValueError, match=f"^{name} must"):
+                GameParams(**spoiled)
 
     def test_arrays_are_immutable(self):
         params = make_params([1.0, 2.0], 1.0, 1.0)

@@ -166,8 +166,11 @@ class TestGridSpec:
                 assert np.all(np.abs(sums - j_budget) <= BUDGET_RTOL * j_budget)
 
     def test_rejects_resolution_below_two(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^resolution must be at least 2$"):
             GridSpec(resolution=1, m=2)
+        # the channel count has the same kind of lower bound
+        with pytest.raises(ValueError, match="^m must be at least 1$"):
+            GridSpec(resolution=3, m=0)
 
     @pytest.mark.parametrize("resolution", [2**63 + 1, 10**20])
     def test_rejects_steps_beyond_int64(self, resolution):
