@@ -52,10 +52,10 @@ EPS_OPT = 1e-6
 class JammerKktState:
     """Multipliers certifying a jammer best response.
 
-    ``u`` is the budget multiplier, ``lambdas`` the per-channel nonnegativity
-    multipliers.  ``degenerate`` marks the all-zero-transmitter case where the
-    payoff does not depend on the jammer at all: every allocation is optimal,
-    and the canonical multipliers u = 0, lambda = 0 are reported.
+    ``u`` is the budget multiplier, ``lambdas`` a read-only copy of the
+    per-channel nonnegativity multipliers.  ``degenerate`` marks the
+    all-zero-transmitter case where the payoff does not depend on the jammer
+    at all: every allocation is optimal, and u = 0, lambda = 0 are reported.
     """
 
     u: float
@@ -63,7 +63,7 @@ class JammerKktState:
     degenerate: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lambdas", _readonly(np.asarray(self.lambdas, float)))
+        object.__setattr__(self, "lambdas", _readonly(np.array(self.lambdas, float)))
         if self.degenerate:
             if self.u != 0.0:
                 raise ValueError("degenerate state must carry u = 0")
@@ -120,8 +120,6 @@ def jam_closed_form(params: GameParams, tx: Allocation, u: float) -> np.ndarray:
         raise ValueError("multiplier u must be finite and positive")
     powers = np.zeros(params.m)
     mask = tx.powers > 0.0
-    if not np.any(mask):
-        return powers
     a = params.alpha_t * tx.powers[mask]
     r = np.sqrt(a) * (math.sqrt(2.0 * params.alpha_j) / math.sqrt(u))
     # sqrt(a^2 + r^2) - a, rewritten to avoid subtracting near-equal terms.
@@ -178,11 +176,10 @@ def _solve_budget_multiplier(
             f"jammer budget multiplier is below the float range: its lower "
             f"bound {u_bottom:.6g} is not a normal float"
         )
-    cands = np.sort(breaks[breaks > u_bottom])[::-1]
+    cands = np.append(np.sort(breaks[breaks > u_bottom])[::-1], u_bottom)
 
-    # total(cands[lo - 1]) < J <= total(cands[hi - 1]); hi = cands.size + 1
-    # stands for u_bottom.
-    lo, hi = 1, cands.size + 1
+    # total(cands[lo - 1]) < J <= total(cands[hi - 1]), the last one u_bottom
+    lo, hi = 1, cands.size
     while hi - lo > 1:
         mid = (lo + hi) // 2
         u = float(cands[mid - 1])
@@ -199,8 +196,7 @@ def _solve_budget_multiplier(
         powers[chans[lone]] = target
         return float(single[lone]), powers
 
-    if hi <= cands.size:
-        u_bottom = float(cands[hi - 1])
+    u_bottom = float(cands[hi - 1])
     on = breaks >= top[0]
     active = chans[on]
     a_act = a[on]
@@ -233,20 +229,15 @@ def jam_best_response(
 ) -> tuple[Allocation, JammerKktState]:
     """Optimal jammer allocation against a fixed transmitter allocation.
 
-    Returns the allocation and the KKT multipliers certifying it.  When the
-    transmitter is silent everywhere the payoff is identically zero and any
-    feasible allocation is a best response; the canonical choice returned is
-    noise-water-filling (pour alpha_j*J over the noise floors), flagged
-    ``degenerate`` with u = 0.  That case is admitted before the budget check
-    since an all-zero vector can never exhaust a positive budget, yet the
-    response to it is still well defined; the operation stays total.
+    Returns the allocation and the KKT multipliers certifying it; the state
+    keeps a read-only copy of lambdas.  When the transmitter is silent
+    everywhere the payoff is identically zero and any feasible allocation is a
+    best response; the canonical choice returned is noise-water-filling (pour
+    alpha_j*J over the noise floors), flagged ``degenerate`` with u = 0.  It is
+    admitted before the budget check, which an all-zero vector never passes, so
+    the operation stays total.
     """
-    powers = tx.powers
-    if (
-        powers.size == params.m
-        and bool(np.all(np.isfinite(powers)))
-        and not np.any(powers != 0.0)
-    ):
+    if tx.powers.size == params.m and not tx.powers.any():
         ws = water_fill(params.noise, params.alpha_j * params.j_budget)
         jam = Allocation(powers=ws.fills / params.alpha_j, budget=params.j_budget)
         state = JammerKktState(u=0.0, lambdas=np.zeros(params.m), degenerate=True)
@@ -296,10 +287,8 @@ class KktReport:
 def kkt_report(
     params: GameParams, tx: Allocation, jam: Allocation, state: JammerKktState
 ) -> KktReport:
-    """Measure how well (jam, state) satisfies the jammer KKT conditions."""
-    if state.degenerate:
-        gap = abs(float(jam.powers.sum()) - params.j_budget)
-        return KktReport(0.0, 0.0, 0.0, gap, params.j_budget)
+    """Measure how well (jam, state) satisfies the jammer KKT conditions: the
+    residuals of any state, zero for the canonical silent-transmitter one."""
     grad = jam_rate_gradient(params, tx.powers, jam.powers)
     residual = grad + state.u - state.lambdas
     active = jam.powers > 0.0

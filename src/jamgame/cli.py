@@ -281,7 +281,7 @@ def _parse_fixed(
     except ValueError as exc:
         raise ConfigError(f"--fixed must be comma-separated numbers: {exc}") from exc
     alloc = Allocation(powers=powers, budget=budget)
-    if allow_all_zero and powers.size == m and not np.any(powers != 0.0):
+    if allow_all_zero and powers.size == m and not powers.any():
         return alloc
     try:
         require_feasible(alloc, budget, m, who)
@@ -393,6 +393,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_dynamics(args: argparse.Namespace) -> int:
     params = load_config(args.config)
+    if args.seed < 0:
+        raise ConfigError("--seed must be a nonnegative integer")
     rng = np.random.default_rng(args.seed)
     start = (
         sample_simplex(rng, 1, params.m, params.t_budget)[0],

@@ -112,12 +112,10 @@ def require_feasible(alloc: Allocation, budget: float, m: int, who: str) -> None
     powers = alloc.powers
     budget_tol = BUDGET_RTOL * abs(alloc.budget)
     # A NaN or infinite entry makes the sum non-finite, so this also checks
-    # finiteness.
-    if (
-        powers.size == m
-        and abs(float(powers.sum()) - alloc.budget) <= budget_tol
-        and powers.min() >= 0.0
-    ):
+    # finiteness; opposite infinities and a sum past the float range do so quietly.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = abs(float(powers.sum()) - alloc.budget)
+    if powers.size == m and gap <= budget_tol and powers.min() >= 0.0:
         return
     finite = np.isfinite(powers)
     problems = []
@@ -128,9 +126,9 @@ def require_feasible(alloc: Allocation, budget: float, m: int, who: str) -> None
     negative = np.flatnonzero(finite & (powers < 0.0)).tolist()
     if negative:
         problems.append(f"negative entries at {negative}")
-    budget_gap = abs(float(powers.sum()) - alloc.budget) if finite.all() else math.inf
-    if budget_gap > budget_tol:
-        problems.append(f"power sum off budget by {budget_gap:.6g}")
+    gap = gap if finite.all() else math.inf
+    if gap > budget_tol:
+        problems.append(f"power sum off budget by {gap:.6g}")
     raise ValueError(f"{who} allocation invalid: {'; '.join(problems)}")
 
 

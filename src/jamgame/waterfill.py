@@ -160,8 +160,7 @@ def level_for_fills(floors, fills) -> LevelCheck:
             consistent=False,
             detail="active channels reach unequal heights",
         )
-    idle = np.nonzero(x == 0.0)[0]
-    if idle.size and np.any(f[idle] < level - tol):
+    if np.any(f[x == 0.0] < level - tol):
         return LevelCheck(
             level=level,
             consistent=False,

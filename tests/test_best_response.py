@@ -286,6 +286,40 @@ class TestJamBestResponse:
             jam_best_response(symmetric2, alloc([1.0, 0.5], 2.0))
 
 
+class TestKktReport:
+    def test_silent_transmitter_residuals_are_positive_zeros(self):
+        # the residuals of the canonical state are the constants a separate
+        # branch once returned for it, bit for bit: a -0.0 fails
+        rng = np.random.default_rng(71)
+        for trial in range(200):
+            params = random_instance(rng, m=int(rng.integers(1, 9)))
+            if trial % 3 == 2:
+                scale = 10.0 ** rng.uniform(-3.0, 3.0, size=5)
+                params = make_params(
+                    params.noise * scale[0], params.t_budget * scale[1],
+                    params.j_budget * scale[2], params.alpha_t * scale[3],
+                    params.alpha_j * scale[4],
+                )
+            tx = alloc(np.zeros(params.m), params.t_budget)
+            jam, state = jam_best_response(params, tx)
+            report = kkt_report(params, tx, jam, state)
+            got = (report.stationarity, report.complementarity,
+                   report.dual_violation, report.primal_gap)
+            gap = abs(float(jam.powers.sum()) - params.j_budget)
+            assert [x.hex() for x in got] == [x.hex() for x in (0.0, 0.0, 0.0, gap)]
+            assert report.ok()
+
+    def test_flagged_state_is_measured_like_any_other(self, asym3):
+        tx = alloc([0.0, 0.0, 0.0], 4.0)
+        jam, _ = jam_best_response(asym3, tx)
+        lambdas = [0.25, 2.0, 0.5]
+        state = JammerKktState(u=0.0, lambdas=lambdas, degenerate=True)
+        report = kkt_report(asym3, tx, jam, state)
+        assert report.stationarity == max(lambdas)
+        assert report.dual_violation == 0.0
+        assert not report.ok()
+
+
 class TestMultiplierSearch:
     def test_agrees_with_bisection(self):
         rng = np.random.default_rng(53)
@@ -412,6 +446,14 @@ class TestJammerKktState:
             JammerKktState(u=0.0, lambdas=np.zeros(2))
         with pytest.raises(ValueError):
             JammerKktState(u=-0.5, lambdas=np.zeros(2))
+
+    def test_copies_the_callers_lambdas(self):
+        lam = np.zeros(3)
+        state = JammerKktState(u=0.5, lambdas=lam)
+        assert lam.flags.writeable
+        lam[0] = 1.0
+        assert state.lambdas.tolist() == [0.0, 0.0, 0.0]
+        assert not state.lambdas.flags.writeable
 
     def test_degenerate_requires_zero_u(self):
         with pytest.raises(ValueError):

@@ -32,6 +32,7 @@ import jamgame.cli as cli_module
 from jamgame.cli import ConfigError, load_config, main
 from jamgame.core import BUDGET_RTOL
 from jamgame.equilibrium import REGIME_LABELS, NashSolution
+from jamgame.oracle import MAX_GRID_POINTS
 
 from conftest import make_params
 
@@ -770,6 +771,86 @@ class TestSweepCommand:
         if code == 2:
             assert out.getvalue() == ""
             assert err.getvalue().strip()
+
+
+@pytest.fixture(scope="module")
+def configs_by_width(tmp_path_factory):
+    """Configs of 1 to 5 channels from the acceptance-test ranges."""
+    rng = np.random.default_rng(83)
+    folder = tmp_path_factory.mktemp("widths")
+    return [
+        write_config(
+            folder, name=f"m{m}.json", channels=rng.uniform(0.5, 8.0, m).tolist(),
+            t_budget=float(rng.uniform(0.5, 5.0)), j_budget=float(rng.uniform(0.5, 5.0)),
+            alpha_t=float(rng.uniform(0.5, 2.0)), alpha_j=float(rng.uniform(0.5, 2.0)),
+        )
+        for m in range(1, 6)
+    ]
+
+
+#: --fixed fields: plain powers and every malformed kind.
+_FIXED_FIELDS = st.sampled_from(
+    ["nan", "inf", "-inf", "1e400", "1e308", "-1", "", "0", "0.5", "1", "2", "\u0663",
+     "0x10", "9" * 400, "1" + "0" * 399]
+)
+
+
+class TestCommandExitContract:
+    @given(
+        width=st.integers(1, 5),
+        command=st.sampled_from(["best-response", "oracle", "dynamics"]),
+        extra=st.sampled_from([[], ["--verify"], ["--format", "table"]]),
+        player=st.sampled_from(["tx", "jam"]),
+        # any length, so wrong ones too, or all zeros
+        fixed=st.one_of(
+            st.lists(_FIXED_FIELDS, max_size=6), st.integers(1, 5).map(lambda n: ["0"] * n)
+        ).map(",".join),
+        resolution=st.one_of(
+            st.integers(-5, 60),
+            st.sampled_from([MAX_GRID_POINTS + 1, 10**12, 2**63, 2**200]),
+        ),
+        gamma=st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1", "1e400", "0.5"]),
+        seed=st.one_of(st.integers(-(2**64), -1), st.integers(0, 2**200)),
+        max_iters=st.integers(-2, 50),
+        alternating=st.booleans(),
+    )
+    # opposite infinities, and a sum past the float range, warned from the sum
+    @example(width=2, command="best-response", extra=[], player="tx", fixed="inf,-inf",
+             resolution=2, gamma="0.5", seed=0, max_iters=1, alternating=False)
+    @example(width=2, command="best-response", extra=[], player="jam", fixed="1e308,1e308",
+             resolution=2, gamma="0.5", seed=0, max_iters=1, alternating=False)
+    # NumPy's "expected non-negative integer" named no flag
+    @example(width=2, command="dynamics", extra=[], player="tx", fixed="1,0",
+             resolution=2, gamma="0.5", seed=-1, max_iters=1, alternating=False)
+    @settings(max_examples=250, deadline=None)
+    def test_adversarial_arguments_keep_the_exit_contract(
+        self, configs_by_width, width, command, extra, player, fixed, resolution, gamma,
+        seed, max_iters, alternating,
+    ):
+        # best-response, oracle and dynamics: every call exits 0, 2 or 3, with
+        # no traceback or warning, and an input error leaves stdout empty
+        args = {
+            "best-response": ["--player", player, f"--fixed={fixed}"],
+            "oracle": [f"--resolution={resolution}"],
+            "dynamics": [f"--gamma={gamma}", f"--seed={seed}", f"--max-iters={max_iters}"]
+            + ["--alternating"] * alternating,
+        }[command]
+        argv = [command, "--config", configs_by_width[width - 1], *args, *extra]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse rejects an unparsable value
+                    code = exc.code
+        assert code in (0, 2, 3), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert out.getvalue() == ""
+            assert err.getvalue().strip()
+        if command == "dynamics" and seed < 0:
+            assert err.getvalue() == "error: --seed must be a nonnegative integer\n"
 
 
 class TestDeterminismAndGoldens:

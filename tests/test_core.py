@@ -84,6 +84,20 @@ class TestRequireFeasible:
         with pytest.raises(ValueError, match=rf"^tx allocation invalid: .*{problem}"):
             require_feasible(alloc(powers, 1.0), 1.0, m, "tx")
 
+    @pytest.mark.parametrize(
+        "powers, problems",
+        [
+            ([math.inf, -math.inf], "non-finite entries at [0, 1]; power sum off budget by inf"),
+            ([1e308, 1e308], "power sum off budget by inf"),
+        ],
+        ids=["opposite-infinities", "sum-overflow"],
+    )
+    def test_sum_outside_the_float_range_warns_nothing(self, powers, problems):
+        # the suite turns warnings into errors: the sum's NaN or inf is quiet
+        with pytest.raises(ValueError) as exc:
+            require_feasible(alloc(powers, 1.0), 1.0, 2, "tx")
+        assert str(exc.value) == f"tx allocation invalid: {problems}"
+
     def test_every_problem_named_in_one_message(self):
         with pytest.raises(ValueError) as exc:
             require_feasible(alloc([-1.0, math.inf, 0.5], 1.0), 1.0, 2, "jam")

@@ -163,6 +163,28 @@ class TestSolveNash:
         assert verify_nash(params, sol).ok
 
 
+class TestEnvelope:
+    @pytest.mark.parametrize(
+        "budget, shadow_price",
+        [
+            ("t_budget", lambda params, sol: params.alpha_t / (2.0 * sol.v)),
+            ("j_budget", lambda params, sol: -sol.u),
+        ],
+    )
+    def test_value_gradient_is_the_shadow_price(self, budget, shadow_price):
+        # dV/dT = alpha_t/(2v) and dV/dJ = -u, by central differences of the value
+        rng = np.random.default_rng(67)
+        for _ in range(200):
+            params = random_instance(rng, m=int(rng.integers(1, 9)))
+            exact = shadow_price(params, solve_nash(params))
+            h = 1e-6 * getattr(params, budget)
+            up, down = (
+                solve_nash(dataclasses.replace(params, **{budget: getattr(params, budget) + d}))
+                for d in (h, -h)
+            )
+            assert (up.value - down.value) / (2.0 * h) == pytest.approx(exact, rel=1e-6)
+
+
 class TestMultiplier:
     def test_bit_for_bit_with_plain_formula(self):
         rng = np.random.default_rng(59)
