@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Allocation, GameParams, _readonly, require_feasible
+from .core import Allocation, GameParams, _vector, require_feasible
 from .waterfill import EPS_SOLVE, water_fill
 
 __all__ = [
@@ -52,23 +52,24 @@ EPS_OPT = 1e-6
 class JammerKktState:
     """Multipliers certifying a jammer best response.
 
-    ``u`` is the budget multiplier, ``lambdas`` a read-only copy of the
-    per-channel nonnegativity multipliers.  ``degenerate`` marks the
-    all-zero-transmitter case where the payoff does not depend on the jammer
-    at all: every allocation is optimal, and u = 0, lambda = 0 are reported.
+    ``u`` is the budget multiplier, finite and nonnegative, and ``lambdas``
+    a read-only copy of the per-channel nonnegativity multipliers.  u = 0 is
+    the ``degenerate`` all-zero-transmitter case, where the payoff does not
+    depend on the jammer at all: every allocation is optimal, and u = 0,
+    lambda = 0 are reported.
     """
 
     u: float
     lambdas: np.ndarray
-    degenerate: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lambdas", _readonly(np.array(self.lambdas, float)))
-        if self.degenerate:
-            if self.u != 0.0:
-                raise ValueError("degenerate state must carry u = 0")
-        elif not math.isfinite(self.u) or self.u <= 0.0:
-            raise ValueError("budget multiplier u must be finite and positive")
+        object.__setattr__(self, "lambdas", _vector(self.lambdas, "lambdas"))
+        if not math.isfinite(self.u) or self.u < 0.0:
+            raise ValueError("budget multiplier u must be finite and nonnegative")
+
+    @property
+    def degenerate(self) -> bool:
+        return self.u == 0.0
 
 
 def tx_best_response(params: GameParams, jam: Allocation) -> tuple[Allocation, float]:
@@ -155,9 +156,11 @@ def _solve_budget_multiplier(
     so Newton steps from the n-th breakpoint, where the total falls short of
     J, climb to the root from below.  A step that leaves the bracket through
     rounding is replaced by bisection.  The search stops once the total is
-    within EPS_SOLVE*J of J.  Every probe sits at or above the lower bound,
-    where no channel holds more than J, so no total overflows.  A multiplier
-    below the normal float range raises ValueError.
+    within EPS_SOLVE*J of J; where rounding stops it short, it returns its
+    evaluation at the bracket end that holds J, above J by up to a bracket.
+    Every probe sits at or above the lower bound, where no channel holds
+    more than J, so no total overflows.  A multiplier below the normal float
+    range raises ValueError.
     """
     target = params.j_budget
     alpha_j = params.alpha_j
@@ -166,8 +169,8 @@ def _solve_budget_multiplier(
     noise = params.noise[chans]
     c = 2.0 * (alpha_j * target + noise)
     # Ordered so that no intermediate is subnormal while the result is
-    # normal.  c/a or N/a overflowing to inf gives the exact limit 0.
-    with np.errstate(over="ignore"):
+    # normal.  c/a or N/a overflowing to inf, or a zero a, gives the exact limit 0.
+    with np.errstate(over="ignore", divide="ignore"):
         single = (2.0 * alpha_j / c) / (c / a + 2.0)
         breaks = (alpha_j / (2.0 * noise)) / (1.0 + noise / a)
     u_bottom = float(single.max())
@@ -203,10 +206,10 @@ def _solve_budget_multiplier(
     floor_act = a_act + 2.0 * noise[on]
     tol = EPS_SOLVE * target
     u, powers, total = top
-    x_lo, x_hi = 1.0 / u, 1.0 / u_bottom
+    x_lo, x_hi, above = 1.0 / u, 1.0 / u_bottom, None
     for _ in range(200):
         if abs(total - target) <= tol:
-            break
+            return u, powers
         heights = floor_act + 2.0 * alpha_j * powers[active]
         slope = float(np.sum(a_act / (2.0 * heights)))
         x = 1.0 / u + ((target - total) / slope if slope > 0.0 else math.inf)
@@ -220,8 +223,11 @@ def _solve_budget_multiplier(
         if total < target:
             x_lo = x
         else:
-            x_hi = x
-    return u, powers
+            x_hi, above = x, (u, powers)
+    # Stopped short of the tolerance: end on the side that holds J.
+    if above is None:
+        above = (u_bottom, jam_closed_form(params, tx, u_bottom))
+    return above
 
 
 def jam_best_response(
@@ -233,24 +239,21 @@ def jam_best_response(
     keeps a read-only copy of lambdas.  When the transmitter is silent
     everywhere the payoff is identically zero and any feasible allocation is a
     best response; the canonical choice returned is noise-water-filling (pour
-    alpha_j*J over the noise floors), flagged ``degenerate`` with u = 0.  It is
+    alpha_j*J over the noise floors), with u = 0, so ``degenerate``.  It is
     admitted before the budget check, which an all-zero vector never passes, so
     the operation stays total.
     """
     if tx.powers.size == params.m and not tx.powers.any():
         ws = water_fill(params.noise, params.alpha_j * params.j_budget)
         jam = Allocation(powers=ws.fills / params.alpha_j, budget=params.j_budget)
-        state = JammerKktState(u=0.0, lambdas=np.zeros(params.m), degenerate=True)
-        return jam, state
+        return jam, JammerKktState(u=0.0, lambdas=np.zeros(params.m))
 
     require_feasible(tx, params.t_budget, params.m, "tx")
 
     u, powers = _solve_budget_multiplier(params, tx)
     # Exact budget match: the search leaves a relative residual of up to
-    # EPS_SOLVE, scaled away here.
-    total = powers.sum()
-    if total > 0.0:
-        powers = powers * (params.j_budget / total)
+    # EPS_SOLVE, or a total above J where rounding stopped it, scaled away here.
+    powers = powers * (params.j_budget / powers.sum())
     jam = Allocation(powers=powers, budget=params.j_budget)
     lambdas = jam_rate_gradient(params, tx.powers, jam.powers) + u
     return jam, JammerKktState(u=u, lambdas=lambdas)

@@ -25,7 +25,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .best_response import jam_best_response, tx_best_response
-from .core import Allocation, GameParams, _readonly, require_feasible, utility_batch
+from .core import Allocation, GameParams, _vector, require_feasible, utility_batch
 from .equilibrium import solve_nash
 from .waterfill import _fill_rows
 
@@ -108,7 +108,7 @@ class GridMinimaxResult:
 
     def __post_init__(self) -> None:
         for name in ("jam", "tx"):
-            object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), float)))
+            object.__setattr__(self, name, _vector(getattr(self, name), name))
 
 
 def _grid_seed(params: GameParams, steps: int) -> np.ndarray:
@@ -138,9 +138,15 @@ def _grid_seed(params: GameParams, steps: int) -> np.ndarray:
 
 def _bound_term(params: GameParams, tx: np.ndarray, spacing: float) -> Callable:
     """g(k, i) = (1/2) log1p(alpha_t*tx_k / (alpha_j*spacing*i + N_k)), convex in i:
-    the payoff of ``tx`` at grid point i is sum_k g(k, i_k).  k and i are arrays."""
+    the payoff of ``tx`` at grid point i is sum_k g(k, i_k).  k and i are arrays.
+    A ratio past the float range is the exact bound +inf."""
     gain, per_step = params.alpha_t * tx, params.alpha_j * spacing
-    return lambda k, i: 0.5 * np.log1p(gain[k] / (per_step * i + params.noise[k]))
+
+    def term(k, i):
+        with np.errstate(over="ignore"):
+            return 0.5 * np.log1p(gain[k] / (per_step * i + params.noise[k]))
+
+    return term
 
 
 def _min_plus(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
@@ -153,14 +159,17 @@ def _min_plus(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
     terms counts as -inf, and a row with a NaN term is NaN (it cuts nothing).
     """
     n, width = head.shape
+    slopes = np.empty((n, 2 * (width - 1)))
     with np.errstate(invalid="ignore"):
-        slopes = np.concatenate((np.diff(head), np.diff(tail)), axis=1)
+        np.subtract(head[:, 1:], head[:, :-1], out=slopes[:, : width - 1])
+        np.subtract(tail[:, 1:], tail[:, :-1], out=slopes[:, width - 1 :])
     slopes[np.isnan(slopes)] = -np.inf
     for part in (slopes[:, : width - 1], slopes[:, width - 1 :]):
         np.maximum.accumulate(part, axis=1, out=part)
     # the stable sort puts a head slope before the tail slopes it equals
     taken = np.argsort(slopes, axis=1, kind="stable")[:, : width - 1] < width - 1
-    split = np.pad(np.cumsum(taken, axis=1), ((0, 0), (1, 0)))
+    split = np.zeros((n, width), dtype=np.intp)
+    np.cumsum(taken, axis=1, out=split[:, 1:])
     rows = np.arange(n)[:, np.newaxis]
     low = head[rows, split] + tail[rows, np.arange(width) - split]
     low[np.isnan(head).any(axis=1) | np.isnan(tail).any(axis=1)] = np.nan
@@ -276,7 +285,8 @@ def grid_minimax(params: GameParams, spec: GridSpec) -> GridMinimaxResult:
     steps = spec.resolution - 1
     spacing = params.j_budget / steps
     tx_budget = params.alpha_t * params.t_budget
-    best_value, best_point, best_jam, best_tx = math.inf, [], None, None  # no tie beats []
+    # every grid point sorts below [inf], so the first comparable score, +inf too, is taken
+    best_value, best_point, best_jam, best_tx = math.inf, [math.inf], None, None
 
     def visit(points: np.ndarray) -> np.ndarray:
         nonlocal best_value, best_point, best_jam, best_tx
@@ -285,6 +295,8 @@ def grid_minimax(params: GameParams, spec: GridSpec) -> GridMinimaxResult:
         tx = fills / params.alpha_t
         inner = utility_batch(params, tx, jam)
         k = int(np.argmin(inner))  # a NaN least score adds nothing
+        if inner[k] > best_value:
+            return tx
         k = min(np.flatnonzero(inner == inner[k]), key=lambda t: points[t].tolist(), default=k)
         if inner[k] < best_value or (inner[k] == best_value and points[k].tolist() < best_point):
             best_value, best_point = float(inner[k]), points[k].tolist()
@@ -303,6 +315,8 @@ def grid_minimax(params: GameParams, spec: GridSpec) -> GridMinimaxResult:
     for points in _walk(steps, spec.m, term, _completion_bound(term, steps, spec.m), limit):
         visit(points)
 
+    if best_jam is None:
+        raise ValueError("no grid point has a comparable score")
     lipschitz = params.m * params.alpha_j / (2.0 * float(params.noise.min()))
     return GridMinimaxResult(
         value=best_value, jam=best_jam, tx=best_tx, spacing=spacing,
@@ -331,7 +345,7 @@ class DynamicsTrace:
 
     def __post_init__(self) -> None:
         for name in ("final_tx", "final_jam"):
-            object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), float)))
+            object.__setattr__(self, name, _vector(getattr(self, name), name))
 
 
 def run_dynamics(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _readonly
+from .core import _readonly, _vector
 
 __all__ = [
     "EPS_SOLVE",
@@ -36,18 +36,21 @@ EPS_SOLVE = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class WaterSolution:
-    """Water level, per-channel fills, and the indices that received power.
+    """Water level and per-channel fills, a read-only copy.
 
-    ``fills`` and ``active`` (ascending channel indices) are read-only arrays.
+    ``active``, the ascending indices of the channels with positive fill, is
+    computed from the fills when read.
     """
 
     level: float
     fills: np.ndarray
-    active: np.ndarray
 
     def __post_init__(self) -> None:
-        for name, dtype in (("fills", float), ("active", np.intp)):
-            object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), dtype)))
+        object.__setattr__(self, "fills", _vector(self.fills, "fills"))
+
+    @property
+    def active(self) -> np.ndarray:
+        return _readonly(np.flatnonzero(self.fills > 0.0))
 
 
 def _check_floors(floors) -> np.ndarray:
@@ -101,8 +104,8 @@ def water_fill(floors, budget: float) -> WaterSolution:
     -------
     WaterSolution
         ``level`` is the water level v, ``fills[k] = max(v - floors[k], 0)``,
-        and ``active`` holds the indices of the channels with strictly
-        positive fill, ascending.
+        and ``active``, computed from the fills when read, holds the indices
+        of the channels with strictly positive fill, ascending.
 
     Notes
     -----
@@ -118,8 +121,7 @@ def water_fill(floors, budget: float) -> WaterSolution:
     if not math.isfinite(budget) or budget < 0.0:
         raise ValueError("budget must be finite and nonnegative")
     level, fills = _fill_rows(f[np.newaxis, :], budget)
-    active = np.flatnonzero(fills[0] > 0.0)
-    return WaterSolution(level=float(level[0]), fills=fills[0], active=active)
+    return WaterSolution(level=float(level[0]), fills=fills[0])
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jamgame import (
@@ -281,6 +281,16 @@ class TestJamBestResponse:
         report = kkt_report(symmetric2, alloc([0.0, 0.0], 2.0), jam, state)
         assert report.ok()
 
+    def test_degenerate_exactly_for_the_silent_transmitter(self):
+        rng = np.random.default_rng(29)
+        for _ in range(100):
+            params = random_instance(rng, m=int(rng.integers(1, 9)))
+            tx = alloc(sample_simplex(rng, 1, params.m, params.t_budget)[0], params.t_budget)
+            _, state = jam_best_response(params, tx)
+            assert state.u > 0.0 and not state.degenerate
+            _, state = jam_best_response(params, alloc(np.zeros(params.m), params.t_budget))
+            assert state.u == 0.0 and state.degenerate
+
     def test_rejects_infeasible_tx(self, symmetric2):
         with pytest.raises(ValueError):
             jam_best_response(symmetric2, alloc([1.0, 0.5], 2.0))
@@ -310,10 +320,12 @@ class TestKktReport:
             assert report.ok()
 
     def test_flagged_state_is_measured_like_any_other(self, asym3):
+        # a u = 0 state is degenerate, and its residuals are measured all the same
         tx = alloc([0.0, 0.0, 0.0], 4.0)
         jam, _ = jam_best_response(asym3, tx)
         lambdas = [0.25, 2.0, 0.5]
-        state = JammerKktState(u=0.0, lambdas=lambdas, degenerate=True)
+        state = JammerKktState(u=0.0, lambdas=lambdas)
+        assert state.degenerate
         report = kkt_report(asym3, tx, jam, state)
         assert report.stationarity == max(lambdas)
         assert report.dual_violation == 0.0
@@ -387,6 +399,12 @@ class TestMultiplierSearch:
         alpha_j=magnitudes,
         weights=st.lists(st.integers(0, 9), min_size=6, max_size=6),
     )
+    # the two jammed breakpoints sit one ulp above the lower bound: the Newton
+    # bracket is one float wide, and the search stops short of the tolerance
+    @example(
+        noise=[1.0, 10**-74.25, 1.0, 1.0, 10**-74.25], t_budget=1.0, j_budget=1.0,
+        alpha_t=1.0, alpha_j=1e-90, weights=[0, 1, 0, 0, 1, 0],
+    )
     @settings(max_examples=300, deadline=None)
     def test_total_over_extreme_magnitudes(
         self, noise, t_budget, j_budget, alpha_t, alpha_j, weights
@@ -404,6 +422,15 @@ class TestMultiplierSearch:
                 return
         require_feasible(jam, j_budget, params.m, "jam")
         assert _kkt_violation_in_units_of_u(params, tx, jam, state.u) <= EPS_KKT
+
+    def test_underflowing_tx_term_raises_without_a_warning(self):
+        # alpha_t*T_1 = 1e-400 underflows to 0: N/a and c/a divide by zero,
+        # outside the 1e+-150 domain of the property above
+        params = make_params([1.0], 1e-200, 1.0, alpha_t=1e-200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="below the float range"):
+                jam_best_response(params, alloc([1e-200], 1e-200))
 
 
 class TestGradient:
@@ -441,11 +468,11 @@ class TestGradient:
 
 
 class TestJammerKktState:
-    def test_rejects_nonpositive_u(self):
-        with pytest.raises(ValueError):
-            JammerKktState(u=0.0, lambdas=np.zeros(2))
-        with pytest.raises(ValueError):
-            JammerKktState(u=-0.5, lambdas=np.zeros(2))
+    def test_rejects_negative_or_nonfinite_u(self):
+        for u in (-0.5, -1e-300, -math.inf, math.inf, math.nan):
+            with pytest.raises(ValueError, match="^budget multiplier u must be finite and "):
+                JammerKktState(u=u, lambdas=np.zeros(2))
+        assert JammerKktState(u=0.0, lambdas=np.zeros(2)).u == 0.0
 
     def test_copies_the_callers_lambdas(self):
         lam = np.zeros(3)
@@ -456,7 +483,11 @@ class TestJammerKktState:
         assert not state.lambdas.flags.writeable
 
     def test_degenerate_requires_zero_u(self):
-        with pytest.raises(ValueError):
-            JammerKktState(u=0.3, lambdas=np.zeros(2), degenerate=True)
-        state = JammerKktState(u=0.0, lambdas=np.zeros(2), degenerate=True)
-        assert state.degenerate
+        # degenerate is read from u, not stored beside it
+        assert JammerKktState(u=0.0, lambdas=np.zeros(2)).degenerate
+        assert not JammerKktState(u=0.3, lambdas=np.zeros(2)).degenerate
+        assert not JammerKktState(u=5e-324, lambdas=np.zeros(2)).degenerate
+        with pytest.raises(AttributeError):
+            JammerKktState(u=0.0, lambdas=np.zeros(2)).degenerate = False
+        with pytest.raises(TypeError):
+            JammerKktState(u=0.0, lambdas=np.zeros(2), degenerate=True)

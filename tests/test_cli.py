@@ -138,6 +138,26 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def call_keeping_the_exit_contract(argv, codes=(0, 2, 3)):
+    """Run ``main(argv)`` in process with warnings as errors and check the exit
+    contract: a code in ``codes``, no traceback, and on exit 2 an empty stdout
+    and a message on stderr.  Returns the code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects an unparsable value
+                code = exc.code
+    assert code in codes, (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().strip()
+    return code, out.getvalue(), err.getvalue()
+
+
 def golden_argv(tmp_path, name):
     """The CLI arguments that produce golden file ``name``."""
     command, *rest = ALL_GOLDEN_CASES[name]
@@ -501,6 +521,27 @@ class TestOracleCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: resolution - 1 must fit in a 64-bit integer")
 
+    def test_grid_of_infinite_scores_takes_its_first_point(self, tmp_path, capsys):
+        # every score is +inf, a comparable score: the first point in order is taken
+        path = write_config(tmp_path, t_budget=1e308, j_budget=1e-300, channels=[1e-300] * 2)
+        with warnings.catch_warnings():
+            # the payoff's own overflow warning at these magnitudes is not this case's
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, out, err = run_cli(capsys, "oracle", "--config", path, "--resolution", "5")
+        assert code == 0, err
+        record = json.loads(out)
+        assert record["grid_value"] == math.inf
+        assert record["grid_jam"] == [0.0, 1e-300]  # the lexicographically smallest point
+
+    def test_bound_past_the_float_range_warns_nothing(self, tmp_path, capsys):
+        # alpha_t*T / N overflows in the payoff bound, whose exact value is then +inf
+        path = write_config(tmp_path, t_budget=1e300, j_budget=1.0, channels=[1e-300] * 2)
+        code, out, err = call_keeping_the_exit_contract(
+            ["oracle", "--config", path, "--resolution", "5"]
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["grid_jam"] == [0.5, 0.5]
+
 
 class TestDynamicsCommand:
     def test_converges_from_seeded_start(self, tmp_path, capsys):
@@ -758,19 +799,7 @@ class TestSweepCommand:
         # input error leaves stdout empty
         argv = ["sweep", "--config", three_regime_config, f"--vary={key}",
                 f"--from={bounds[0]}", f"--to={bounds[1]}", f"--steps={steps}"]
-        out, err = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    code = main(argv)
-                except SystemExit as exc:  # argparse rejects an unparsable value
-                    code = exc.code
-        assert code in (0, 2), (argv, err.getvalue())
-        assert "Traceback" not in err.getvalue()
-        if code == 2:
-            assert out.getvalue() == ""
-            assert err.getvalue().strip()
+        call_keeping_the_exit_contract(argv, codes=(0, 2))
 
 
 @pytest.fixture(scope="module")
@@ -836,21 +865,30 @@ class TestCommandExitContract:
             + ["--alternating"] * alternating,
         }[command]
         argv = [command, "--config", configs_by_width[width - 1], *args, *extra]
-        out, err = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    code = main(argv)
-                except SystemExit as exc:  # argparse rejects an unparsable value
-                    code = exc.code
-        assert code in (0, 2, 3), (argv, err.getvalue())
-        assert "Traceback" not in err.getvalue()
-        if code == 2:
-            assert out.getvalue() == ""
-            assert err.getvalue().strip()
+        _, _, err = call_keeping_the_exit_contract(argv)
         if command == "dynamics" and seed < 0:
-            assert err.getvalue() == "error: --seed must be a nonnegative integer\n"
+            assert err == "error: --seed must be a nonnegative integer\n"
+
+    def test_nash_keeps_the_exit_contract_on_random_configs(self, tmp_path):
+        # every number 10**U(-12, 12), every seventh config in dB; each
+        # format, with and without --verify
+        rng = np.random.default_rng(97)
+        codes = {0: 0, 2: 0, 3: 0}
+        for i in range(70):
+            m = int(rng.integers(1, 7))
+            numbers = 10.0 ** rng.uniform(-12.0, 12.0, size=4 + m)
+            config = dict(zip(cli_module._SCALARS, numbers[:4].tolist()))
+            config["channels"] = numbers[4:].tolist()
+            if i % 7 == 6:
+                config["noise_unit"] = "db"
+                config["channels"] = (10.0 * np.log10(numbers[4:])).tolist()
+            path = write_config(tmp_path, name=f"game{i}.json", **config)
+            for fmt in ("json", "table", "csv"):
+                for verify in ([], ["--verify"]):
+                    argv = ["nash", "--config", path, "--format", fmt, *verify]
+                    codes[call_keeping_the_exit_contract(argv)[0]] += 1
+        # the draw reaches all three exits
+        assert all(codes.values()), codes
 
 
 class TestDeterminismAndGoldens:

@@ -12,13 +12,35 @@ from jamgame import (
     utility,
     utility_batch,
 )
+from jamgame.best_response import JammerKktState
 from jamgame.core import BUDGET_RTOL, require_feasible
+from jamgame.oracle import DynamicsTrace, GridMinimaxResult
+from jamgame.waterfill import WaterSolution
 
 from conftest import alloc, make_params, rate
 
 
 #: One valid game; each TestTypes case spoils some of its fields.
 GAME = {"noise": [1.0], "alpha_t": 1.0, "alpha_j": 1.0, "t_budget": 1.0, "j_budget": 1.0}
+
+#: Result records that hold arrays: a constructor of the scalar fields, and the array fields.
+RECORDS = {
+    "WaterSolution": (lambda **arrays: WaterSolution(level=1.0, **arrays), ["fills"]),
+    "JammerKktState": (lambda **arrays: JammerKktState(u=0.5, **arrays), ["lambdas"]),
+    "GridMinimaxResult": (
+        lambda **arrays: GridMinimaxResult(
+            value=0.5, spacing=0.5, lipschitz_bound=1.0, gap_bound=0.5, n_points=3, **arrays
+        ),
+        ["jam", "tx"],
+    ),
+    "DynamicsTrace": (
+        lambda **arrays: DynamicsTrace(
+            final_value=0.5, n_iters=1, damping=0.5, alternating=False, converged=True,
+            final_distance=0.0, **arrays,
+        ),
+        ["final_tx", "final_jam"],
+    ),
+}
 
 
 class TestTypes:
@@ -64,6 +86,28 @@ class TestTypes:
         a = alloc([0.5, 0.5], 1.0)
         with pytest.raises(ValueError):
             a.powers[0] = 2.0
+
+    @pytest.mark.parametrize("record", list(RECORDS))
+    def test_records_hold_read_only_copies(self, record):
+        build, fields = RECORDS[record]
+        given = {name: np.array([0.25, 0.75]) for name in fields}
+        built = build(**given)
+        for name, arr in given.items():
+            held = getattr(built, name)
+            assert arr.flags.writeable
+            assert not held.flags.writeable
+            assert not np.shares_memory(held, arr)
+            arr[0] = 9.0
+            assert held.tolist() == [0.25, 0.75]
+
+    @pytest.mark.parametrize("record", list(RECORDS))
+    @pytest.mark.parametrize("bad", [None, 0.5, [[0.5], [0.5]]], ids=["None", "0-D", "2-D"])
+    def test_records_reject_arrays_that_are_not_vectors(self, record, bad):
+        build, fields = RECORDS[record]
+        for name in fields:
+            arrays = {other: [0.5, 0.5] for other in fields} | {name: bad}
+            with pytest.raises(ValueError, match=f"^{name} must be a one-dimensional vector$"):
+                build(**arrays)
 
 
 class TestRequireFeasible:

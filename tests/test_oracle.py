@@ -254,6 +254,12 @@ class TestGridMinimax:
             result = grid_minimax(params, GridSpec(resolution=resolution, m=1))
             assert result.value == pytest.approx(expect, abs=1e-12)
 
+    def test_grid_without_a_comparable_score_raises(self, asym3, monkeypatch):
+        # a NaN score adds nothing, so an all-NaN grid has no point to report
+        monkeypatch.setattr(oracle, "utility_batch", lambda p, tx, jam: np.full(len(jam), np.nan))
+        with pytest.raises(ValueError, match="^no grid point has a comparable score$"):
+            grid_minimax(asym3, GridSpec(resolution=5, m=3))
+
     def test_symmetric_example_close_to_closed_form(self, symmetric2):
         result = grid_minimax(symmetric2, GridSpec(resolution=101, m=2))
         assert abs(result.value - math.log(5.0 / 3.0)) <= 1e-3

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from jamgame.waterfill import (
     EPS_SOLVE,
+    WaterSolution,
     _fill_rows,
     level_for_fills,
     water_fill,
@@ -124,6 +125,16 @@ class TestWaterFill:
             else:
                 assert f[k] >= ws.level - EPS_SOLVE * scale
                 assert k not in ws.active
+
+    def test_active_is_read_from_the_fills(self):
+        ws = WaterSolution(level=3.0, fills=[0.0, 1.0, 0.0, 2.0])
+        assert ws.active.tolist() == [1, 3]
+        assert ws.active.dtype == np.intp
+        assert not ws.active.flags.writeable
+        with pytest.raises(AttributeError):
+            ws.active = np.array([0])
+        with pytest.raises(TypeError):
+            WaterSolution(level=3.0, fills=[1.0], active=[0])
 
     @given(floors=floors_strategy, budget=budget_strategy)
     @settings(max_examples=150, deadline=None)
